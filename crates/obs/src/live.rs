@@ -638,9 +638,11 @@ mod tests {
     fn recorder_capture_merges_rings_while_writers_run() {
         let rec = Arc::new(FlightRecorder::new(1024));
         let stop = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..2u32)
-            .map(|t| {
-                let ring = rec.register(t);
+        let rings: Vec<_> = (0..2u32).map(|t| rec.register(t)).collect();
+        let writers: Vec<_> = rings
+            .iter()
+            .map(|ring| {
+                let ring = Arc::clone(ring);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     let mut n = 0u64;
@@ -659,6 +661,11 @@ mod tests {
             for w in events.windows(2) {
                 assert!(w[0].t_ns <= w[1].t_ns, "capture not time-ordered");
             }
+        }
+        // A loaded host may not have scheduled a writer yet: stop only
+        // once each has recorded.
+        while rings.iter().any(|r| r.recorded() == 0) {
+            std::thread::yield_now();
         }
         stop.store(true, Ordering::Relaxed);
         let counts: Vec<u64> = writers.into_iter().map(|w| w.join().unwrap()).collect();

@@ -355,16 +355,18 @@ impl Sampler {
         let runner = Arc::clone(&shared);
         let interval = cfg.interval;
         let mut watchdog = cfg.watchdog.map(Watchdog::new);
+        // The baseline is taken here, before the thread starts: activity
+        // recorded between `spawn` and the thread's first run belongs to
+        // the first window, not to the baseline (where it would vanish,
+        // and a short run's stop flush would look idle and be dropped).
+        let mut prev = shared.registry.snapshot();
         let handle = std::thread::Builder::new()
             .name("dyc-sampler".into())
-            .spawn(move || {
-                let mut prev = runner.registry.snapshot();
-                loop {
-                    let stopping = sleep_watching_stop(&runner.stop, interval);
-                    tick(&runner, &mut prev, &mut watchdog, stopping);
-                    if stopping {
-                        break;
-                    }
+            .spawn(move || loop {
+                let stopping = sleep_watching_stop(&runner.stop, interval);
+                tick(&runner, &mut prev, &mut watchdog, stopping);
+                if stopping {
+                    break;
                 }
             })
             .expect("spawn sampler thread");

@@ -122,8 +122,12 @@ struct Shard<V> {
     probes: AtomicU64,
 }
 
-/// FNV-1a over the key words — independent of the double-hash functions
-/// inside each cache shard, so shard choice doesn't correlate with probe
+/// FNV-1a over the key words, finished with a 64-bit mix step (the
+/// first half of the murmur3 finalizer). The fold alone is exactly
+/// [`DoubleHashCache`]'s `h1`: a shard is picked by the low bits of the
+/// hash, so every key in a shard would share those bits of `h1` and
+/// reach only `1/shards` of the shard's table. The mix spreads every
+/// input bit over the low bits, decorrelating shard choice from probe
 /// position. Shared by [`ShardedCache`] and [`FlightMap`], so a key's
 /// cache shard and flight shard indices agree (modulo mask width).
 fn shard_hash(key: &[u64]) -> u64 {
@@ -132,7 +136,9 @@ fn shard_hash(key: &[u64]) -> u64 {
         h ^= *w;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
 }
 
 /// A sharded double-hash code cache: N independent
@@ -1251,21 +1257,17 @@ impl ThreadRuntime {
         vm.stats.dyncomp_cycles += cycles;
     }
 
-    fn charge_dispatch(&mut self, vm: &mut Vm, cycles: u64) {
-        self.stats.dispatch_cycles += cycles;
-        vm.stats.dispatch_cycles += cycles;
-    }
-
-    /// The site entry for `point`, refreshing the local prefix from the
-    /// shared table only when `point` is beyond it (i.e. another thread
-    /// registered a new internal promotion site).
-    fn site_entry(&mut self, point: u32) -> Arc<SiteEntry> {
+    /// Make `site_cache[point]` valid, refreshing the local prefix from
+    /// the shared table only when `point` is beyond it (i.e. another
+    /// thread registered a new internal promotion site). The dispatch
+    /// path then borrows the entry in place, so a hit never touches the
+    /// shared `Arc`'s reference count.
+    fn refresh_sites(&mut self, point: u32) {
         if point as usize >= self.site_cache.len() {
             let sites = self.shared.sites.read().unwrap();
             let have = self.site_cache.len();
             self.site_cache.extend(sites[have..].iter().cloned());
         }
-        Arc::clone(&self.site_cache[point as usize])
     }
 
     /// Copy published code `gid` into this thread's module on first use;
@@ -1690,6 +1692,14 @@ impl ThreadRuntime {
     }
 }
 
+/// Charge a dispatch lookup to the thread's meters and the VM's. A free
+/// function so the dispatch path can call it while it borrows its site
+/// entry from the handler.
+fn charge_dispatch(stats: &mut RtStats, vm: &mut Vm, cycles: u64) {
+    stats.dispatch_cycles += cycles;
+    vm.stats.dispatch_cycles += cycles;
+}
+
 impl DispatchHandler for ThreadRuntime {
     fn dispatch(
         &mut self,
@@ -1699,7 +1709,8 @@ impl DispatchHandler for ThreadRuntime {
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<DispatchOutcome, VmError> {
-        let entry = self.site_entry(point);
+        self.refresh_sites(point);
+        let entry = &self.site_cache[point as usize];
         let site = &entry.site;
         if args.len() != site.arg_vars.len() {
             return Err(VmError::Dispatch(format!(
@@ -1727,13 +1738,13 @@ impl DispatchHandler for ThreadRuntime {
         let cost = match site.policy {
             SitePolicy::CacheOneUnchecked => {
                 let c = self.shared.costs.dispatch_unchecked;
-                self.charge_dispatch(vm, c);
+                charge_dispatch(&mut self.stats, vm, c);
                 self.stats.dispatch_unchecked += 1;
                 c
             }
             SitePolicy::CacheIndexed => {
                 let c = self.shared.costs.dispatch_indexed;
-                self.charge_dispatch(vm, c);
+                charge_dispatch(&mut self.stats, vm, c);
                 self.stats.dispatch_indexed += 1;
                 c
             }
@@ -1742,7 +1753,7 @@ impl DispatchHandler for ThreadRuntime {
                     .shared
                     .costs
                     .hashed_dispatch(key.len() - 1, probed.probes);
-                self.charge_dispatch(vm, c);
+                charge_dispatch(&mut self.stats, vm, c);
                 self.stats.dispatch_hashed += 1;
                 self.stats.dispatch_probes += u64::from(probed.probes);
                 c
@@ -1784,9 +1795,13 @@ impl DispatchHandler for ThreadRuntime {
                     self.trace
                         .rec(kind, point, kh, vm.stats.total_cycles(), cost, probes);
                 }
+                out_args.extend(site.dyn_pos.iter().map(|&i| args[i]));
                 v.gid
             }
             None => {
+                // The miss path needs `&mut self`, so it holds its own
+                // reference to the entry; only here is the `Arc` cloned.
+                let entry = Arc::clone(entry);
                 if trace_on {
                     self.trace.rec(
                         EventKind::DispatchMiss,
@@ -1823,7 +1838,10 @@ impl DispatchHandler for ThreadRuntime {
                     }
                 }
                 match missed? {
-                    MissResult::Spec(gid) => gid,
+                    MissResult::Spec(gid) => {
+                        out_args.extend(entry.site.dyn_pos.iter().map(|&i| args[i]));
+                        gid
+                    }
                     MissResult::Generic(gid) => {
                         // The generic continuation takes every dispatch
                         // argument (nothing is baked in but the base store).
@@ -1838,7 +1856,6 @@ impl DispatchHandler for ThreadRuntime {
 
         let fid = self.materialize(point, gid, module, vm);
         self.scratch_key = key;
-        out_args.extend(entry.site.dyn_pos.iter().map(|&i| args[i]));
         self.finish_invoke(fid, out_args, module, vm)
     }
 }
@@ -1897,6 +1914,34 @@ mod tests {
     fn shared_runtime_is_send_and_sync() {
         assert_send_sync::<SharedRuntime>();
         assert_send_sync::<ThreadRuntime>();
+    }
+
+    /// `[site, k]` keys must spread over the shards *and* over each
+    /// shard's table. With the shard chosen from the low bits of
+    /// `DoubleHashCache::h1` itself, every key in a shard shares those
+    /// bits and lookups average about 7 probes; a shard hash without
+    /// enough mixing (a plain rotate) instead sends every key to one
+    /// shard. The first assert catches the former, the second the latter.
+    #[test]
+    fn shard_hash_spreads_keys_over_shards_and_slots() {
+        const KEYS: u64 = 4_096;
+        const SHARDS: usize = 16;
+        let c: ShardedCache<u32> = ShardedCache::new(SHARDS);
+        for k in 0..KEYS {
+            c.insert(vec![3, k], k as u32);
+        }
+        for k in 0..KEYS {
+            assert_eq!(c.get(&[3, k]).value, Some(k as u32));
+        }
+        let meters = c.meters();
+        let lookups: u64 = meters.iter().map(|m| m.lookups).sum();
+        let probes: u64 = meters.iter().map(|m| m.probes).sum();
+        assert_eq!(lookups, KEYS);
+        let per_lookup = probes as f64 / lookups as f64;
+        assert!(per_lookup <= 1.3, "{per_lookup:.2} probes per lookup");
+        let hottest = meters.iter().map(|m| m.lookups).max().unwrap();
+        let imbalance = hottest as f64 / (KEYS as f64 / SHARDS as f64);
+        assert!(imbalance <= 1.5, "hottest shard imbalance {imbalance:.2}");
     }
 
     #[test]

@@ -108,12 +108,29 @@ pub struct Vm {
     /// Values printed by the guest (the observable output).
     pub output: Vec<Value>,
     max_steps: u64,
-    /// Reusable heavy-instruction argument buffers, persisted across runs
-    /// so a steady-state call or dispatch never touches the heap.
+    /// Reusable heavy-instruction argument buffers, persisted across runs.
     buf_call: Vec<Value>,
     buf_disp: Vec<Value>,
+    /// The frame stack, kept across runs. A run owns the frames above the
+    /// depth it started at and pops back to that depth when it returns or
+    /// fails, so a run re-entered from a dispatch handler nests on top.
+    frames: Vec<Frame>,
+    /// Register files of returned frames (at most [`REG_POOL_CAP`]),
+    /// zeroed and reused by the next frame. With the argument buffers and
+    /// the frame stack, this makes a steady-state call or dispatch
+    /// allocation-free.
+    reg_pool: Vec<Vec<Value>>,
 }
 
+/// Register files the pool retains; a deeper recursion frees the rest
+/// on return.
+const REG_POOL_CAP: usize = 64;
+
+/// Frame-stack capacity kept once the outermost run returns; a deeper
+/// recursion gives the rest back.
+const FRAME_STACK_CAP: usize = 256;
+
+#[derive(Debug)]
 struct Frame {
     func: FuncId,
     pc: u32,
@@ -134,6 +151,8 @@ impl Vm {
             max_steps: u64::MAX,
             buf_call: Vec::new(),
             buf_disp: Vec::new(),
+            frames: Vec::new(),
+            reg_pool: Vec::new(),
         }
     }
 
@@ -192,16 +211,30 @@ impl Vm {
         self.run(module, Some(handler), func, args)
     }
 
-    fn new_frame(module: &Module, func: FuncId, args: &[Value], ret_dst: Option<Reg>) -> Frame {
+    /// Push a frame for `func`, taking its register file from the pool.
+    /// The file is zeroed before the arguments are copied in, exactly as a
+    /// fresh one would be.
+    fn push_frame(&mut self, module: &Module, func: FuncId, args: &[Value], ret_dst: Option<Reg>) {
         let f = module.func(func);
         debug_assert_eq!(args.len(), f.n_params, "arity mismatch calling {}", f.name);
-        let mut regs = vec![Value::default(); f.n_regs];
+        let mut regs = self.reg_pool.pop().unwrap_or_default();
+        regs.clear();
+        regs.resize(f.n_regs, Value::default());
         regs[..args.len()].copy_from_slice(args);
-        Frame {
+        self.frames.push(Frame {
             func,
             pc: 0,
             regs,
             ret_dst,
+        });
+    }
+
+    /// Pop the top frame, returning its register file to the pool.
+    fn pop_frame(&mut self) {
+        if let Some(done) = self.frames.pop() {
+            if self.reg_pool.len() < REG_POOL_CAP {
+                self.reg_pool.push(done.regs);
+            }
         }
     }
 
@@ -216,10 +249,20 @@ impl Vm {
         // duration of the run (the handler needs `&mut Vm` alongside
         // them), then hand them back so their capacity carries over to
         // the next run. A reentrant run sees empty buffers and restores
-        // its own on the way out — still allocation-free once warm.
+        // its own on the way out.
         let mut call_vals = std::mem::take(&mut self.buf_call);
         let mut disp_args = std::mem::take(&mut self.buf_disp);
-        let r = self.run_inner(module, handler, func, args, &mut call_vals, &mut disp_args);
+        let base = self.frames.len();
+        self.push_frame(module, func, args, None);
+        let r = self.run_inner(module, handler, base, &mut call_vals, &mut disp_args);
+        // `Ret` from the base frame leaves the stack at `base`; an error
+        // or `Halt` leaves frames above it.
+        while self.frames.len() > base {
+            self.pop_frame();
+        }
+        if base == 0 && self.frames.capacity() > FRAME_STACK_CAP {
+            self.frames.shrink_to(FRAME_STACK_CAP);
+        }
         self.buf_call = call_vals;
         self.buf_disp = disp_args;
         r
@@ -230,15 +273,13 @@ impl Vm {
         &mut self,
         module: &mut Module,
         mut handler: Option<&mut dyn DispatchHandler>,
-        func: FuncId,
-        args: &[Value],
+        base: usize,
         call_vals: &mut Vec<Value>,
         disp_args: &mut Vec<Value>,
     ) -> Result<Option<Value>, VmError> {
-        let mut stack: Vec<Frame> = vec![Self::new_frame(module, func, args, None)];
         let mut steps = 0u64;
 
-        'outer: while let Some(frame) = stack.last_mut() {
+        'outer: while let Some(frame) = self.frames.last_mut() {
             let f = module.func(frame.func);
             if frame.pc as usize >= f.code.len() {
                 return Err(VmError::PcOutOfRange);
@@ -332,22 +373,22 @@ impl Vm {
                     Instr::Ret { src } => {
                         let rv = src.map(|r| frame.regs[r as usize]);
                         let ret_dst = frame.ret_dst;
-                        stack.pop();
-                        match stack.last_mut() {
-                            None => return Ok(rv),
-                            Some(caller) => {
-                                if let (Some(dst), Some(v)) = (ret_dst, rv) {
-                                    caller.regs[dst as usize] = v;
-                                }
-                                continue 'outer;
-                            }
+                        self.pop_frame();
+                        if self.frames.len() == base {
+                            return Ok(rv);
                         }
+                        if let (Some(dst), Some(v), Some(caller)) =
+                            (ret_dst, rv, self.frames.last_mut())
+                        {
+                            caller.regs[dst as usize] = v;
+                        }
+                        continue 'outer;
                     }
                     Instr::Halt => return Ok(None),
                     Instr::CallHost { f, dst, args } => {
-                        let vals: Vec<Value> =
-                            args.iter().map(|&r| frame.regs[r as usize]).collect();
-                        let rv = f.eval(&vals, &mut self.output);
+                        call_vals.clear();
+                        call_vals.extend(args.iter().map(|&r| frame.regs[r as usize]));
+                        let rv = f.eval(call_vals, &mut self.output);
                         if let (Some(d), Some(v)) = (dst, rv) {
                             frame.regs[*d as usize] = v;
                         }
@@ -379,8 +420,7 @@ impl Vm {
             match heavy.unwrap() {
                 Heavy::Call { func: callee, dst } => {
                     frame.pc += 1;
-                    let new = Self::new_frame(module, callee, call_vals, dst);
-                    stack.push(new);
+                    self.push_frame(module, callee, call_vals, dst);
                 }
                 Heavy::Dispatch { point, dst } => {
                     frame.pc += 1;
@@ -393,11 +433,12 @@ impl Vm {
                     match outcome {
                         DispatchOutcome::Invoke { func: callee } => {
                             self.stats.exec_cycles += self.cost.call;
-                            let new = Self::new_frame(module, callee, disp_args, dst);
-                            stack.push(new);
+                            self.push_frame(module, callee, disp_args, dst);
                         }
                         DispatchOutcome::Completed { value } => {
-                            if let (Some(d), Some(v)) = (dst, value) {
+                            if let (Some(d), Some(v), Some(frame)) =
+                                (dst, value, self.frames.last_mut())
+                            {
                                 frame.regs[d as usize] = v;
                             }
                         }
@@ -823,6 +864,141 @@ mod tests {
             .call_with_handler(&mut m, &mut H, rid, &[Value::I(6)])
             .unwrap();
         assert_eq!(out, Some(Value::I(42)));
+    }
+
+    /// `down(n)` recurses `n` deep and returns `n`.
+    fn countdown_module() -> (Module, FuncId) {
+        let mut m = Module::new();
+        let mut cf = crate::module::CodeFunc::new("down", 1, 3);
+        cf.push(Instr::Brnz { cond: 0, target: 2 });
+        cf.push(Instr::Ret { src: Some(0) });
+        cf.push(Instr::IAlu {
+            op: IAluOp::Sub,
+            dst: 1,
+            a: 0,
+            b: Operand::Imm(1),
+        });
+        cf.push(Instr::Call {
+            func: FuncId(0),
+            dst: Some(2),
+            args: vec![1],
+        });
+        cf.push(Instr::IAlu {
+            op: IAluOp::Add,
+            dst: 2,
+            a: 2,
+            b: Operand::Imm(1),
+        });
+        cf.push(Instr::Ret { src: Some(2) });
+        let id = m.add_func(cf);
+        assert_eq!(id, FuncId(0));
+        (m, id)
+    }
+
+    #[test]
+    fn deep_recursion_leaves_a_bounded_pool() {
+        let (mut m, down) = countdown_module();
+        let mut vm = Vm::without_icache(CostModel::unit());
+        let deep = vm.call(&mut m, down, &[Value::I(10_000)]).unwrap();
+        assert_eq!(deep, Some(Value::I(10_000)));
+        assert!(vm.frames.is_empty());
+        assert_eq!(vm.reg_pool.len(), REG_POOL_CAP);
+        assert!(vm.frames.capacity() <= FRAME_STACK_CAP);
+        let shallow = vm.call(&mut m, down, &[Value::I(2)]).unwrap();
+        assert_eq!(shallow, Some(Value::I(2)));
+        assert!(vm.frames.is_empty());
+        assert!(vm.reg_pool.len() <= REG_POOL_CAP);
+    }
+
+    #[test]
+    fn pooled_register_files_start_zeroed() {
+        let mut m = Module::new();
+        let mut dirty = crate::module::CodeFunc::new("dirty", 0, 4);
+        dirty.push(Instr::MovI { dst: 3, imm: 99 });
+        dirty.push(Instr::Ret { src: Some(3) });
+        let dirty = m.add_func(dirty);
+        // Reads a register it never writes: a fresh file holds zero.
+        let mut clean = crate::module::CodeFunc::new("clean", 1, 4);
+        clean.push(Instr::Ret { src: Some(3) });
+        let clean = m.add_func(clean);
+        let mut vm = Vm::without_icache(CostModel::unit());
+        assert_eq!(vm.call(&mut m, dirty, &[]).unwrap(), Some(Value::I(99)));
+        assert_eq!(
+            vm.call(&mut m, clean, &[Value::I(5)]).unwrap(),
+            Some(Value::I(0))
+        );
+    }
+
+    #[test]
+    fn a_failed_reentrant_run_unwinds_only_its_own_frames() {
+        // The handler re-enters the VM with a call that faults three
+        // frames deep, swallows the error, and resumes the outer run.
+        struct H(FuncId);
+        impl DispatchHandler for H {
+            fn dispatch(
+                &mut self,
+                _point: u32,
+                args: &[Value],
+                out_args: &mut Vec<Value>,
+                module: &mut Module,
+                vm: &mut Vm,
+            ) -> Result<DispatchOutcome, VmError> {
+                let depth = vm.frames.len();
+                let err = vm.call(module, self.0, &[Value::I(3)]).unwrap_err();
+                assert_eq!(err, VmError::DivideByZero);
+                assert_eq!(vm.frames.len(), depth);
+                out_args.extend_from_slice(args);
+                Ok(DispatchOutcome::Completed {
+                    value: Some(Value::I(args[0].as_i() + 1)),
+                })
+            }
+        }
+        let mut m = Module::new();
+        // `fault(n)`: recurse to n == 0, then divide by it.
+        let mut fault = crate::module::CodeFunc::new("fault", 1, 3);
+        fault.push(Instr::Brnz { cond: 0, target: 2 });
+        fault.push(Instr::IAlu {
+            op: IAluOp::Div,
+            dst: 1,
+            a: 0,
+            b: Operand::Reg(0),
+        });
+        fault.push(Instr::IAlu {
+            op: IAluOp::Sub,
+            dst: 1,
+            a: 0,
+            b: Operand::Imm(1),
+        });
+        fault.push(Instr::Call {
+            func: FuncId(0),
+            dst: Some(2),
+            args: vec![1],
+        });
+        fault.push(Instr::Ret { src: Some(2) });
+        let fault = m.add_func(fault);
+        assert_eq!(fault, FuncId(0));
+        let mut region = crate::module::CodeFunc::new("region", 1, 3);
+        region.push(Instr::Dispatch {
+            point: 0,
+            dst: Some(1),
+            args: vec![0],
+        });
+        region.push(Instr::IAlu {
+            op: IAluOp::Mul,
+            dst: 2,
+            a: 1,
+            b: Operand::Reg(0),
+        });
+        region.push(Instr::Ret { src: Some(2) });
+        let region = m.add_func(region);
+        let mut vm = Vm::without_icache(CostModel::unit());
+        for _ in 0..2 {
+            let out = vm
+                .call_with_handler(&mut m, &mut H(fault), region, &[Value::I(6)])
+                .unwrap();
+            assert_eq!(out, Some(Value::I(42)));
+            assert!(vm.frames.is_empty());
+        }
     }
 
     #[test]
