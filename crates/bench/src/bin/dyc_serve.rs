@@ -20,7 +20,7 @@
 //! * `--threads N` — serving threads (default 16)
 //! * `--seed S` — stream seed (default 42)
 //! * `--patterns a,b` — subset of `zipfian,churn,flash_crowd,stampede`
-//! * `--shards N` / `--flight-shards N` — runtime knobs (0 = auto)
+//! * `--shards N` — cache and flight-map shard count (0 = auto)
 //! * `--miss-policy block|fallback` — racer behavior (default block)
 //! * `--bound K` — compile `cache_all(K)` instead of unbounded
 //! * `--curve k1,k2,...` — also replay the churn stream at each bound
@@ -75,7 +75,6 @@ fn main() {
     let seed: u64 = parse(&args, "--seed", 42);
     let opts = SharedOptions {
         shards: parse(&args, "--shards", 0),
-        flight_shards: parse(&args, "--flight-shards", 0),
         miss_policy: match flag(&args, "--miss-policy").unwrap_or("block") {
             "block" => MissPolicy::Block,
             "fallback" => MissPolicy::Fallback,

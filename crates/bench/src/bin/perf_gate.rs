@@ -9,8 +9,8 @@
 //! # distill a checked-in baseline from a full bench_smoke report
 //! perf_gate distill BENCH_dyncompile.json --out BENCH_baseline.json
 //!
-//! # compare a fresh report against the baseline (exit 1 on regression)
-//! perf_gate check BENCH_baseline.json fresh.json --tolerance 0.10
+//! # compare a fresh report against the baseline (exit 1 on any move)
+//! perf_gate check BENCH_baseline.json fresh.json --tolerance 0
 //! ```
 //!
 //! `distill` extracts the gateable cycle metrics — per-workload
@@ -21,8 +21,12 @@
 //! `workload` / `workload/siteN`, plus a report-only `wall_clock`
 //! section. `check` accepts either a distilled baseline or a full
 //! report on both sides (full reports are distilled on the fly) and
-//! fails if any gated metric exceeds `baseline * (1 + tolerance)`, or
-//! if a baseline metric disappeared from the current report.
+//! fails if any gated metric moves more than `baseline * tolerance`
+//! away from the baseline in either direction (the default tolerance is
+//! 0: the model is deterministic, so any move is a change to explain),
+//! or if a baseline metric disappeared from the current report. An
+//! improvement fails too, so the baseline never goes stale: regenerate
+//! `BENCH_dyncompile.json` and re-run `perf_gate distill`.
 
 use dyc_obs::Json;
 use std::fmt::Write as _;
@@ -152,10 +156,23 @@ fn gate(base: &[Row], cur: &[Row], tol: f64) -> Vec<String> {
             let c = cur_row.and_then(|m| m.iter().find(|(k, _)| k == metric));
             match c {
                 Some((_, c)) => {
-                    let delta = if *b == 0.0 { 0.0 } else { c / b - 1.0 };
-                    let verdict = if *c > b * (1.0 + tol) || (*b == 0.0 && *c > 0.0) {
+                    let delta = if *b == 0.0 {
+                        0.0
+                    } else {
+                        (c / b - 1.0) * 100.0
+                    };
+                    let moved = if *b == 0.0 {
+                        *c != 0.0
+                    } else {
+                        (c - b).abs() > b.abs() * tol
+                    };
+                    let verdict = if moved {
+                        let side = if c > b { "above" } else { "below" };
                         failures.push(format!(
-                            "{name}.{metric}: {c} exceeds baseline {b} by more than {:.0}%",
+                            "{name}.{metric}: {c} is {side} baseline {b} by more than {:.0}%; \
+                             if the change is intended, regenerate BENCH_dyncompile.json and \
+                             re-run `perf_gate distill BENCH_dyncompile.json --out \
+                             BENCH_baseline.json`",
                             tol * 100.0
                         ));
                         "FAIL"
@@ -234,7 +251,7 @@ fn main() -> ExitCode {
                 .iter()
                 .position(|a| a == "--tolerance")
                 .and_then(|i| args.get(i + 1))
-                .map_or(0.10, |v| v.parse().expect("bad --tolerance"));
+                .map_or(0.0, |v| v.parse().expect("bad --tolerance"));
             let run = || -> Result<Vec<String>, String> {
                 let (base_cycle, base_wall) = distill(&load(base_path)?)?;
                 let (cur_cycle, cur_wall) = distill(&load(cur_path)?)?;
@@ -247,7 +264,11 @@ fn main() -> ExitCode {
                             .find(|(n, _)| n == name)
                             .and_then(|(_, m)| m.iter().find(|(k, _)| k == metric))
                         {
-                            let delta = if *b == 0.0 { 0.0 } else { c / b - 1.0 };
+                            let delta = if *b == 0.0 {
+                                0.0
+                            } else {
+                                (c / b - 1.0) * 100.0
+                            };
                             println!(
                                 "{name:<28} {metric:<24} {b:>12} {c:>12} {delta:>+7.1}% \
                                  (wall clock, report only)"
@@ -329,6 +350,19 @@ mod tests {
         let failures = gate(&base, &same, 0.10);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("alpha.staged_overhead_cycles"));
+        // -9%: an improvement inside the tolerance passes.
+        same[0].1[0].1 = 91.0;
+        assert!(gate(&base, &same, 0.10).is_empty());
+        // -11%: an improvement beyond it fails too, asking for a
+        // re-baseline so the checked-in numbers never go stale.
+        same[0].1[0].1 = 89.0;
+        let failures = gate(&base, &same, 0.10);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("below baseline"));
+        assert!(failures[0].contains("perf_gate distill"));
+        // At tolerance 0 the gate is exact: any move fails, none passes.
+        assert_eq!(gate(&base, &same, 0.0).len(), 1);
+        assert!(gate(&base, &base, 0.0).is_empty());
     }
 
     #[test]

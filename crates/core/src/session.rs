@@ -137,10 +137,10 @@ impl Session {
         }
     }
 
-    /// Trace events recorded so far (oldest first), when the session was
-    /// built with [`OptConfig::trace`](dyc_bta::OptConfig) (or, for
-    /// threaded sessions, [`dyc_rt::SharedOptions::trace`]). Empty when
-    /// tracing is off or the session is static.
+    /// Trace events recorded so far (oldest first), when the program was
+    /// compiled with [`OptConfig::trace`](dyc_bta::OptConfig) — for
+    /// dynamic and threaded sessions alike. Empty when tracing is off or
+    /// the session is static.
     pub fn trace_events(&self) -> Vec<dyc_obs::Event> {
         match &self.exec {
             Exec::Static => Vec::new(),

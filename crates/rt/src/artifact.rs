@@ -1125,6 +1125,89 @@ pub fn artifact_for_func(
     )
 }
 
+/// Snapshot a runtime's cache as a bundle: `sites` is the whole site
+/// table (entry sites first), `entries` every `(site, key, code)`
+/// binding. Both cache backends serialize through this one function.
+pub(crate) fn snapshot<C: std::ops::Deref<Target = CodeFunc>>(
+    staged: &StagedProgram,
+    sites: &[&Site],
+    entries: impl IntoIterator<Item = (u32, Vec<u64>, C)>,
+) -> CacheBundle {
+    let check = BundleCheck::new(staged);
+    let n_entry = staged.entry_sites.len();
+    let entries = entries
+        .into_iter()
+        .map(|(site, key, code)| {
+            let schema = sites[site as usize].key_vars.iter().map(|v| v.0).collect();
+            artifact_for_func(check.cfg, check.prog, site, key, schema, &code)
+        })
+        .collect();
+    CacheBundle {
+        version: ARTIFACT_VERSION,
+        config_hash: check.cfg,
+        program_hash: check.prog,
+        n_entry_sites: n_entry as u32,
+        sites: sites[n_entry..]
+            .iter()
+            .map(|s| SiteSpec::from_site(s))
+            .collect(),
+        entries,
+    }
+}
+
+/// Warm-start verification, shared by both cache backends. It is layered
+/// and never fatal: [`BundleCheck::header`] gates the whole bundle,
+/// [`BundleCheck::entry`] each artifact.
+pub(crate) struct BundleCheck {
+    cfg: u64,
+    prog: u64,
+}
+
+impl BundleCheck {
+    pub(crate) fn new(staged: &StagedProgram) -> BundleCheck {
+        BundleCheck {
+            cfg: config_hash(&staged.cfg),
+            prog: program_hash(staged),
+        }
+    }
+
+    /// The bundle's internal promotion sites, when its `(version,
+    /// config-hash, program-hash)` triple and entry-site count match and
+    /// the runtime is `fresh` (nothing specialized or promoted yet:
+    /// restored sites keep their snapshot ids, which emitted `Dispatch`
+    /// instructions bake in). Every site must be reconstructible before
+    /// any is registered — a partial site table would shift every later
+    /// id. `None` rejects every entry.
+    pub(crate) fn header(
+        &self,
+        bundle: &CacheBundle,
+        n_entry: usize,
+        fresh: bool,
+    ) -> Option<Vec<Site>> {
+        let ok = bundle.version == ARTIFACT_VERSION
+            && bundle.config_hash == self.cfg
+            && bundle.program_hash == self.prog
+            && bundle.n_entry_sites as usize == n_entry
+            && fresh;
+        if !ok {
+            return None;
+        }
+        bundle.sites.iter().map(|s| s.to_site().ok()).collect()
+    }
+
+    /// True when `art` re-verifies its own triple and its key schema
+    /// matches the site it binds to.
+    pub(crate) fn entry(&self, art: &CodeArtifact, site: Option<&Site>) -> bool {
+        art.verify(self.cfg, self.prog).is_ok()
+            && site.is_some_and(|s| {
+                art.key_schema
+                    .iter()
+                    .copied()
+                    .eq(s.key_vars.iter().map(|v| v.0))
+            })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,10 @@
 //! the bounded `cache_all(k)` eviction policy) uses tombstones so probe
 //! chains through deleted slots stay intact.
 
+use dyc_stage::SitePolicy;
 use dyc_vm::FuncId;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// Result of a metered lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -363,6 +366,121 @@ impl<V: Copy> DoubleHashCache<V> {
 impl<V: Copy> Default for DoubleHashCache<V> {
     fn default() -> Self {
         DoubleHashCache::new()
+    }
+}
+
+/// Second-chance clock for one bounded (`cache_all(k)`) site, shared by
+/// both cache backends. Reference bits are atomics so the concurrent
+/// hit path can mark an entry recently used without taking the clock
+/// mutex (a relaxed store is a plain store on x86-64, so the owned
+/// backend's hit path pays nothing for it); the key ring and hand are
+/// only touched under the mutex by the (already-serialized) insert path.
+#[derive(Debug)]
+pub(crate) struct EvictCtl {
+    bits: Box<[AtomicBool]>,
+    clock: Mutex<ClockKeys>,
+}
+
+#[derive(Debug)]
+struct ClockKeys {
+    /// The cache key of each retained entry, indexed by clock slot.
+    keys: Vec<Vec<u64>>,
+    hand: usize,
+    /// Effective capacity. Starts at the declared `cache_all(k)` bound;
+    /// the adaptive policy may grow it (never past `bits.len()`, which
+    /// is pre-allocated at the maximum so reference bits are never
+    /// reallocated while the hit path touches them lock-free).
+    cap: usize,
+}
+
+impl EvictCtl {
+    /// The clock a site with `policy` needs, if it is bounded.
+    /// `cap_growth` is the adaptive policy's bound multiplier (1 in
+    /// `Always` mode): reference bits are pre-allocated at
+    /// `k * cap_growth` so capacity growth never reallocates them.
+    pub(crate) fn for_policy(policy: SitePolicy, cap_growth: usize) -> Option<EvictCtl> {
+        let SitePolicy::CacheAllBounded(k) = policy else {
+            return None;
+        };
+        let cap = k.max(1) as usize;
+        let max_cap = cap.saturating_mul(cap_growth.max(1));
+        Some(EvictCtl {
+            bits: (0..max_cap).map(|_| AtomicBool::new(false)).collect(),
+            clock: Mutex::new(ClockKeys {
+                keys: Vec::new(),
+                hand: 0,
+                cap,
+            }),
+        })
+    }
+
+    pub(crate) fn touch(&self, idx: u32) {
+        self.bits[idx as usize].store(true, Ordering::Relaxed);
+    }
+
+    /// Raise the effective capacity to `n` (clamped to the
+    /// pre-allocated maximum; never shrinks).
+    pub(crate) fn grow_to(&self, n: usize) {
+        let mut c = self.clock.lock().unwrap();
+        c.cap = c.cap.max(n.min(self.bits.len()));
+    }
+
+    /// Admit `key`, choosing an eviction victim if the site is at
+    /// capacity. Returns the clock slot for the new entry and the evicted
+    /// key, if any.
+    ///
+    /// The caller removes the returned victim from its code cache
+    /// *after* this returns. The concurrent backend relies on that: its
+    /// shard write-lock is never taken while the clock mutex is held, so
+    /// other threads' admits at this site never queue behind a
+    /// cache-shard lock. The window in which the victim's slot is
+    /// reassigned but its cache entry still exists is benign: a hit on
+    /// the victim during the window runs still-valid code (registry
+    /// entries are never freed), and a concurrent re-specialization of
+    /// the victim at worst loses its fresh insert to the delayed remove
+    /// and re-specializes once more.
+    pub(crate) fn admit(&self, key: &[u64]) -> (u32, Option<Vec<u64>>) {
+        let mut c = self.clock.lock().unwrap();
+        let cap = c.cap;
+        if c.keys.len() < cap {
+            c.keys.push(key.to_vec());
+            let idx = c.keys.len() - 1;
+            self.bits[idx].store(true, Ordering::Relaxed);
+            return (idx as u32, None);
+        }
+        // Sweep, clearing reference bits until an unreferenced victim
+        // turns up. Concurrent hits can re-set bits mid-sweep, so bound
+        // the sweep at two revolutions and then take the hand's slot (a
+        // single thread always finds a victim within one revolution).
+        let mut steps = 0;
+        let victim = loop {
+            steps += 1;
+            if steps > 2 * cap || !self.bits[c.hand].swap(false, Ordering::Relaxed) {
+                break c.hand;
+            }
+            c.hand = (c.hand + 1) % cap;
+        };
+        c.hand = (victim + 1) % cap;
+        let old = std::mem::replace(&mut c.keys[victim], key.to_vec());
+        self.bits[victim].store(true, Ordering::Relaxed);
+        (victim as u32, Some(old))
+    }
+
+    pub(crate) fn reset(&self) {
+        let mut c = self.clock.lock().unwrap();
+        c.keys.clear();
+        c.hand = 0;
+        for b in self.bits.iter() {
+            b.store(false, Ordering::Relaxed);
+        }
+    }
+
+    /// True when the clock already retains `cap` entries — admitting
+    /// another key would evict. Warm-start uses this to reject surplus
+    /// bundle entries instead of evicting ones it just restored.
+    pub(crate) fn at_capacity(&self) -> bool {
+        let c = self.clock.lock().unwrap();
+        c.keys.len() >= c.cap
     }
 }
 

@@ -1,28 +1,31 @@
 //! Concurrent dispatch: a sharded, `Arc`-shared code cache with
 //! single-flight specialization and bounded eviction.
 //!
-//! The single-threaded [`Runtime`](crate::Runtime) owns its caches and
-//! module outright; this module makes the same staged pipeline safely
-//! callable from many threads:
+//! The single-session [`Runtime`](crate::Runtime) owns its caches and
+//! module outright; this module is the second cache backend of the same
+//! [`DispatchCore`], which makes the staged pipeline safely callable from
+//! many threads:
 //!
 //! * **[`SharedRuntime`]** holds everything immutable or lock-guarded that
 //!   threads share: the staged program, the [`ShardedCache`] mapping
 //!   `(site, key)` to published code, an append-only site table (internal
 //!   promotion sites discovered by any thread become visible to all), an
 //!   append-only code registry, and the single-flight wait-map.
-//! * **[`ThreadRuntime`]** is one thread's [`DispatchHandler`]: it owns a
-//!   private [`Module`] replica and [`Vm`], so *execution* never takes a
+//! * **[`ThreadRuntime`]** is one thread's dispatch handler: the
+//!   [`DispatchCore`] over a [`SharedCache`]. The thread owns a private
+//!   [`Module`] replica and [`dyc_vm::Vm`], so *execution* never takes a
 //!   lock — only dispatch lookups touch the shared cache, and a
 //!   steady-state hit is one shard read-lock with zero allocations.
-//! * **Single-flight**: exactly one thread runs the GE executor per
-//!   `(site, key)`. Racers either block on the winner's `Flight`
+//! * **Single-flight**: exactly one thread specializes each
+//!   `(site, key)`. Racers either block on the winner's [`Flight`]
 //!   ([`MissPolicy::Block`]) or immediately run a *generic continuation*
 //!   — unspecialized code for the region compiled on demand
 //!   ([`MissPolicy::Fallback`]) — so no duplicate specializations are
 //!   ever performed.
 //! * **Bounded eviction**: `cache_all(k)` sites keep at most `k`
-//!   specializations, evicted by a second-chance clock whose reference
-//!   bits are lock-free atomics set on the hit path.
+//!   specializations, evicted by the second-chance clock both backends
+//!   share, whose reference bits are lock-free atomics set on the hit
+//!   path.
 //!
 //! # Memory ordering
 //!
@@ -64,20 +67,17 @@
 //! assert_eq!(shared.stats().specializations, 1);
 //! ```
 
-use crate::artifact::{self, CacheBundle, SiteSpec, ARTIFACT_VERSION};
-use crate::cache::{DoubleHashCache, Probed};
-use crate::costs::DynCosts;
-use crate::ge_exec::{GeExecutor, SpecEnv, SpecHost};
-use crate::native::{exec_entry, lower_func, NativeArtifact, NativeDispatch, NativeEngine};
-use crate::policy::{PolicyDecision, PolicyEngine, PolicyParams};
-use crate::runtime::{Site, Store};
-use crate::stats::RtStats;
-use dyc_bta::PolicyMode;
-use dyc_obs::{now_ns, EventKind, LatencyHistogram, LiveHandles, LiveMetric, LiveThread, Trace};
+use crate::artifact::{self, BundleCheck, CacheBundle};
+use crate::cache::{DoubleHashCache, EvictCtl, Probed};
+use crate::dispatch::{CacheBackend, Claim, DispatchCore, Lane, Meter, Probe};
+use crate::ge_exec::SpecHost;
+use crate::policy::PolicyEngine;
+use crate::runtime::{cap_growth, generic_code, Site};
+use dyc_obs::{now_ns, LatencyHistogram, LiveHandles};
 use dyc_stage::{SitePolicy, StagedProgram};
-use dyc_vm::{CodeFunc, DispatchHandler, DispatchOutcome, FuncId, Module, Value, Vm, VmError};
+use dyc_vm::{CodeFunc, FuncId, Module, VmError};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// What a racing thread does when another thread is already specializing
@@ -129,7 +129,7 @@ struct Shard<V> {
 /// reach only `1/shards` of the shard's table. The mix spreads every
 /// input bit over the low bits, decorrelating shard choice from probe
 /// position. Shared by [`ShardedCache`] and [`FlightMap`], so a key's
-/// cache shard and flight shard indices agree (modulo mask width).
+/// cache shard and flight shard agree.
 fn shard_hash(key: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in key {
@@ -284,135 +284,21 @@ impl<V: Copy> std::fmt::Debug for ShardedCache<V> {
     }
 }
 
-/// Second-chance clock for one bounded (`cache_all(k)`) site. Reference
-/// bits are atomics so the cache-hit path can mark an entry recently
-/// used without taking the clock mutex; the key ring and hand are only
-/// touched under the mutex by the (already-serialized) insert path.
-#[derive(Debug)]
-struct EvictCtl {
-    bits: Box<[AtomicBool]>,
-    clock: Mutex<ClockKeys>,
-}
-
-#[derive(Debug)]
-struct ClockKeys {
-    /// Full shared-cache key per retained entry, indexed by clock slot.
-    keys: Vec<Vec<u64>>,
-    hand: usize,
-    /// Effective capacity. Starts at the declared `cache_all(k)` bound;
-    /// the adaptive policy may grow it (never past `bits.len()`, which
-    /// is pre-allocated at the maximum so reference bits are never
-    /// reallocated while the hit path touches them lock-free).
-    cap: usize,
-}
-
-impl EvictCtl {
-    fn new(cap: usize, max_cap: usize) -> EvictCtl {
-        let max_cap = max_cap.max(cap);
-        EvictCtl {
-            bits: (0..max_cap).map(|_| AtomicBool::new(false)).collect(),
-            clock: Mutex::new(ClockKeys {
-                keys: Vec::new(),
-                hand: 0,
-                cap,
-            }),
-        }
-    }
-
-    fn touch(&self, idx: u32) {
-        self.bits[idx as usize].store(true, Ordering::Relaxed);
-    }
-
-    /// Raise the effective capacity to `n` (clamped to the
-    /// pre-allocated maximum; never shrinks).
-    fn grow_to(&self, n: usize) {
-        let mut c = self.clock.lock().unwrap();
-        c.cap = c.cap.max(n.min(self.bits.len()));
-    }
-
-    /// Admit `key`, choosing an eviction victim if the site is at
-    /// capacity. Returns the clock slot for the new entry and the evicted
-    /// key, if any.
-    ///
-    /// The caller must remove the returned victim from the code cache
-    /// *after* this returns — the shard write-lock is deliberately not
-    /// taken while the clock mutex is held, so other threads' admits at
-    /// this site never queue behind a cache-shard lock. The window in
-    /// which the victim's slot is reassigned but its cache entry still
-    /// exists is benign: a hit on the victim during the window runs
-    /// still-valid code (registry entries are never freed), and a
-    /// concurrent re-specialization of the victim at worst loses its
-    /// fresh insert to our delayed remove and re-specializes once more.
-    fn admit(&self, key: &[u64]) -> (u32, Option<Vec<u64>>) {
-        let mut c = self.clock.lock().unwrap();
-        let cap = c.cap;
-        if c.keys.len() < cap {
-            c.keys.push(key.to_vec());
-            let idx = c.keys.len() - 1;
-            self.bits[idx].store(true, Ordering::Relaxed);
-            return (idx as u32, None);
-        }
-        // Sweep, clearing reference bits until an unreferenced victim
-        // turns up. Concurrent hits can re-set bits mid-sweep, so bound
-        // the sweep at two revolutions and then take the hand's slot.
-        let mut steps = 0;
-        let victim = loop {
-            steps += 1;
-            if steps > 2 * cap || !self.bits[c.hand].swap(false, Ordering::Relaxed) {
-                break c.hand;
-            }
-            c.hand = (c.hand + 1) % cap;
-        };
-        c.hand = (victim + 1) % cap;
-        let old = std::mem::replace(&mut c.keys[victim], key.to_vec());
-        self.bits[victim].store(true, Ordering::Relaxed);
-        (victim as u32, Some(old))
-    }
-
-    fn reset(&self) {
-        let mut c = self.clock.lock().unwrap();
-        c.keys.clear();
-        c.hand = 0;
-        for b in self.bits.iter() {
-            b.store(false, Ordering::Relaxed);
-        }
-    }
-
-    /// True when the clock already retains `cap` entries — admitting
-    /// another key would evict. Warm-start uses this to reject surplus
-    /// bundle entries instead of evicting ones it just restored.
-    fn at_capacity(&self) -> bool {
-        let c = self.clock.lock().unwrap();
-        c.keys.len() >= c.cap
-    }
-}
-
 /// One shared dispatch site: the [`Site`] itself plus the concurrent
 /// per-site state (eviction clock, lazily built generic continuation).
 #[derive(Debug)]
 struct SiteEntry {
     site: Site,
     evict: Option<EvictCtl>,
-    /// Global id of the site's generic continuation, built on first use
-    /// by the [`MissPolicy::Fallback`] path.
+    /// Global id of the site's generic continuation, built on first use.
     fallback: Mutex<Option<u32>>,
 }
 
 impl SiteEntry {
-    /// `cap_growth` is the adaptive policy's bound multiplier (1 in
-    /// `Always` mode): reference bits are pre-allocated at
-    /// `k * cap_growth` so capacity growth never reallocates them.
     fn new(site: Site, cap_growth: usize) -> SiteEntry {
-        let evict = match site.policy {
-            SitePolicy::CacheAllBounded(k) => {
-                let k = k.max(1) as usize;
-                Some(EvictCtl::new(k, k.saturating_mul(cap_growth.max(1))))
-            }
-            _ => None,
-        };
         SiteEntry {
+            evict: EvictCtl::for_policy(site.policy, cap_growth),
             site,
-            evict,
             fallback: Mutex::new(None),
         }
     }
@@ -421,7 +307,7 @@ impl SiteEntry {
 /// One in-flight specialization: racers park on the condvar until the
 /// winner resolves it with the published global id (or the error).
 #[derive(Debug)]
-struct Flight {
+pub struct Flight {
     state: Mutex<Option<Result<u32, String>>>,
     cv: Condvar,
 }
@@ -450,19 +336,19 @@ impl Flight {
     }
 }
 
-/// The single-flight wait-map, sharded by the same FNV-1a hash as the
-/// code cache so a key's flight entry and cache binding live in the
-/// same 1/Nth of the keyspace. Before the serving work this was one
+/// One flight-map shard: the in-flight specializations whose keys hash
+/// into it.
+type FlightShard = Mutex<HashMap<Vec<u64>, Arc<Flight>>>;
+
+/// The single-flight wait-map, sharded by the same hash and shard count
+/// as the code cache so a key's flight entry and cache binding live in
+/// the same 1/Nth of the keyspace. Before the serving work this was one
 /// global `Mutex<HashMap>`: under a cold-start stampede every miss on
 /// *any* key serialized on it, convoying unrelated sites (see
 /// EXPERIMENTS.md, hypothesis H1). Sharding preserves the protocol
 /// exactly — single-flight is a per-key property, and one key always
 /// maps to one shard — while letting misses on unrelated keys proceed
 /// independently.
-/// One flight-map shard: the in-flight specializations whose keys hash
-/// into it.
-type FlightShard = Mutex<HashMap<Vec<u64>, Arc<Flight>>>;
-
 #[derive(Debug)]
 struct FlightMap {
     shards: Box<[FlightShard]>,
@@ -482,33 +368,22 @@ impl FlightMap {
     /// on entry, remove after publication) and every racer check go
     /// through this one lock, so the per-key protocol is untouched by
     /// sharding.
-    fn shard(&self, key: &[u64]) -> &Mutex<HashMap<Vec<u64>, Arc<Flight>>> {
+    fn shard(&self, key: &[u64]) -> &FlightShard {
         &self.shards[(shard_hash(key) & self.mask) as usize]
-    }
-
-    fn n_shards(&self) -> usize {
-        self.shards.len()
     }
 }
 
 /// Atomic global meters (per-thread meters live in each
-/// [`ThreadRuntime`]'s [`RtStats`]).
+/// [`ThreadRuntime`]'s [`RtStats`](crate::RtStats)): one per [`Meter`] the
+/// dispatch core counts, indexed by the meter, plus the ones only the
+/// shared runtime counts.
 #[derive(Debug, Default)]
 struct ConcStats {
-    specializations: AtomicU64,
-    single_flight_waits: AtomicU64,
-    single_flight_fallbacks: AtomicU64,
-    single_flight_races: AtomicU64,
-    cache_evictions: AtomicU64,
+    meters: [AtomicU64; Meter::COUNT],
     cache_invalidations: AtomicU64,
     generic_continuations: AtomicU64,
     cache_warm_loads: AtomicU64,
     cache_warm_rejects: AtomicU64,
-    native_installs: AtomicU64,
-    native_fallbacks: AtomicU64,
-    policy_defers: AtomicU64,
-    policy_promotes: AtomicU64,
-    policy_throttled: AtomicU64,
 }
 
 /// Plain snapshot of the shared runtime's meters.
@@ -579,24 +454,21 @@ impl ConcSnapshot {
     }
 }
 
-/// Construction options for [`SharedRuntime`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Construction options for [`SharedRuntime`]. Everything else a shared
+/// runtime does — tracing, the native backend, the adaptive policy — is
+/// switched by the staged program's `OptConfig`, exactly as for a
+/// single session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SharedOptions {
-    /// Shard count for the code cache (rounded up to a power of two).
-    /// `0` (the default) auto-sizes from the machine: 8 shards per
-    /// hardware thread, clamped to `[16, 512]`. The serving measurements
-    /// (EXPERIMENTS.md, "Serving under skewed traffic") found throughput
-    /// flat from 16 shards up but degrading below 4 on write-heavy churn,
-    /// so auto keeps a 16-shard floor even on small machines and scales
-    /// with the hardware instead of freezing yesterday's constant.
+    /// Shard count for the code cache and the single-flight wait-map
+    /// (rounded up to a power of two). `0` (the default) auto-sizes from
+    /// the machine: 8 shards per hardware thread, clamped to `[16, 512]`.
+    /// The serving measurements (EXPERIMENTS.md, "Serving under skewed
+    /// traffic") found throughput flat from 16 shards up but degrading
+    /// below 4 on write-heavy churn, so auto keeps a 16-shard floor even
+    /// on small machines and scales with the hardware instead of
+    /// freezing yesterday's constant.
     pub shards: usize,
-    /// Shard count for the single-flight wait-map (rounded up to a power
-    /// of two). `0` (the default) matches the resolved cache shard
-    /// count, so one key contends with the same 1/Nth of the keyspace in
-    /// both structures. `1` reproduces the pre-serving global mutex —
-    /// kept selectable so the EXPERIMENTS.md before/after numbers stay
-    /// reproducible from one binary.
-    pub flight_shards: usize,
     /// What racing threads do on a miss that is already in flight.
     pub miss_policy: MissPolicy,
     /// Give every [`ThreadRuntime`] an allocation-free miss-path latency
@@ -608,44 +480,6 @@ pub struct SharedOptions {
     /// Off by default: the hit path is untouched either way, but each
     /// miss pays two clock reads.
     pub latency: bool,
-    /// Specialization instruction budget (guards non-terminating static
-    /// loops), per specialization.
-    pub spec_budget: u64,
-    /// Give every [`ThreadRuntime`] a cycle-stamped event recorder (see
-    /// [`dyc_obs`]). Purely observational: enabling it changes no
-    /// results, no published code bytes, and no [`RtStats`] counters.
-    /// Also switched on by [`OptConfig::trace`](dyc_bta::OptConfig) on
-    /// the staged program's config.
-    pub trace: bool,
-    /// Lower materialized specializations to native x86-64 machine code
-    /// (each thread owns its own executable arena) and run them instead
-    /// of interpreting. Also switched on by
-    /// [`OptConfig::native`](dyc_bta::OptConfig) on the staged program's
-    /// config. A no-op on platforms without the native backend.
-    pub native: bool,
-    /// When to specialize a dispatched (site, key):
-    /// [`PolicyMode::Always`] (the default — specialize on first miss,
-    /// today's behavior exactly) or [`PolicyMode::Adaptive`] (count
-    /// dispatches and defer below the per-site break-even; see
-    /// [`crate::policy`]). Also switched on by
-    /// [`OptConfig::policy`](dyc_bta::OptConfig) on the staged
-    /// program's config.
-    pub policy: PolicyMode,
-}
-
-impl Default for SharedOptions {
-    fn default() -> SharedOptions {
-        SharedOptions {
-            shards: 0,
-            flight_shards: 0,
-            miss_policy: MissPolicy::Block,
-            latency: false,
-            spec_budget: 4_000_000,
-            trace: false,
-            native: false,
-            policy: PolicyMode::Always,
-        }
-    }
 }
 
 /// Resolve a shard-count knob: `0` auto-sizes to 8 shards per hardware
@@ -665,7 +499,6 @@ fn resolve_shards(n: usize) -> usize {
 /// protocol.
 pub struct SharedRuntime {
     staged: StagedProgram,
-    costs: DynCosts,
     opts: SharedOptions,
     /// The statically compiled module every thread replica starts from;
     /// global code ids below `base_len` are base functions with the same
@@ -702,7 +535,7 @@ impl std::fmt::Debug for SharedRuntime {
         f.debug_struct("SharedRuntime")
             .field("base_len", &self.base_len)
             .field("n_sites", &self.n_sites())
-            .field("published", &self.registry.read().unwrap().len())
+            .field("published", &self.published())
             .field("opts", &self.opts)
             .finish()
     }
@@ -719,7 +552,8 @@ impl SpecHost for SharedSiteHost<'_> {
         site.precompute_layout();
         let mut sites = self.shared.sites.write().unwrap();
         let id = sites.len() as u32;
-        sites.push(Arc::new(SiteEntry::new(site, self.shared.cap_growth())));
+        let growth = cap_growth(self.shared.policy.as_ref());
+        sites.push(Arc::new(SiteEntry::new(site, growth)));
         id
     }
 }
@@ -734,45 +568,21 @@ impl SharedRuntime {
     /// Build the shared runtime with explicit [`SharedOptions`].
     pub fn with_options(staged: StagedProgram, opts: SharedOptions) -> SharedRuntime {
         let base_module = staged.build_module();
-        let base_len = base_module.len();
-        let adaptive =
-            opts.policy == PolicyMode::Adaptive || staged.cfg.policy == PolicyMode::Adaptive;
-        let policy = adaptive.then(|| PolicyEngine::new(PolicyParams::default()));
-        let cap_growth = policy
-            .as_ref()
-            .map_or(1, |e| e.params().cap_growth_limit.max(1));
-        let mut sites = Vec::new();
-        for (i, e) in staged.entry_sites.iter().enumerate() {
-            let mut site = Site {
-                func: e.func,
-                block: e.block,
-                inst_idx: e.inst_idx,
-                base_store: Store::new(),
-                key_vars: e.key_vars.iter().map(|(v, _)| *v).collect(),
-                arg_vars: e.arg_vars.clone(),
-                policy: e.policy,
-                division: staged.ge.entry_divisions[i],
-                key_pos: Vec::new(),
-                dyn_pos: Vec::new(),
-            };
-            site.precompute_layout();
-            sites.push(Arc::new(SiteEntry::new(site, cap_growth)));
-        }
-        let cache_shards = resolve_shards(opts.shards);
-        let flight_shards = if opts.flight_shards == 0 {
-            cache_shards
-        } else {
-            opts.flight_shards
-        };
+        let policy = PolicyEngine::for_mode(staged.cfg.policy);
+        let growth = cap_growth(policy.as_ref());
+        let sites = Site::entries(&staged)
+            .into_iter()
+            .map(|s| Arc::new(SiteEntry::new(s, growth)))
+            .collect();
+        let shards = resolve_shards(opts.shards);
         SharedRuntime {
-            cache: ShardedCache::new(cache_shards),
-            costs: DynCosts::calibrated(),
+            cache: ShardedCache::new(shards),
+            inflight: FlightMap::new(shards),
             opts,
+            base_len: base_module.len(),
             base_module,
-            base_len,
             sites: RwLock::new(sites),
             registry: RwLock::new(Vec::new()),
-            inflight: FlightMap::new(flight_shards),
             stats: ConcStats::default(),
             policy,
             next_thread: AtomicU32::new(0),
@@ -786,7 +596,7 @@ impl SharedRuntime {
     /// when the handles carry a recorder) and feeds the registry from
     /// its meter points. Attach before spawning workers; existing
     /// threads are unaffected. Telemetry never changes published code,
-    /// results, or [`RtStats`] — see `dyc_obs::live`'s
+    /// results, or [`RtStats`](crate::RtStats) — see `dyc_obs::live`'s
     /// observer-effect-free obligations.
     pub fn attach_live(&self, handles: LiveHandles) {
         *self.live.write().unwrap() = Some(handles);
@@ -802,44 +612,23 @@ impl SharedRuntime {
         self.policy.as_ref()
     }
 
-    /// Bounded-cap growth multiplier for new sites: the policy's
-    /// `cap_growth_limit` in adaptive mode, 1 otherwise.
-    fn cap_growth(&self) -> usize {
-        self.policy
-            .as_ref()
-            .map_or(1, |e| e.params().cap_growth_limit.max(1))
-    }
-
     /// A fresh per-thread dispatch handler. Pair it with
-    /// [`SharedRuntime::base_module`] and the thread's own [`Vm`].
+    /// [`SharedRuntime::base_module`] and the thread's own [`dyc_vm::Vm`].
     pub fn thread(shared: &Arc<SharedRuntime>) -> ThreadRuntime {
         let tid = shared.next_thread.fetch_add(1, Ordering::Relaxed);
-        let trace = if shared.opts.trace || shared.staged.cfg.trace {
-            Trace::on(tid)
-        } else {
-            Trace::off()
+        let backend = SharedCache {
+            shared: Arc::clone(shared),
+            full_key: Vec::new(),
+            local_ids: Vec::new(),
+            site_cache: Vec::new(),
         };
-        let miss_hist = shared
+        let mut core = DispatchCore::with_backend(backend, tid);
+        core.miss_hist = shared
             .opts
             .latency
             .then(|| Box::new(LatencyHistogram::new()));
-        let live = shared
-            .live
-            .read()
-            .unwrap()
-            .as_ref()
-            .map(|h| Box::new(h.thread(tid)));
-        ThreadRuntime {
-            shared: Arc::clone(shared),
-            stats: RtStats::new(),
-            scratch_key: Vec::new(),
-            local_ids: Vec::new(),
-            site_cache: Vec::new(),
-            trace,
-            native: NativeEngine::new(),
-            miss_hist,
-            live,
-        }
+        core.live = shared.live_handles().map(|h| Box::new(h.thread(tid)));
+        core
     }
 
     /// A fresh copy of the statically compiled base module for a thread
@@ -876,9 +665,9 @@ impl SharedRuntime {
         self.cache.n_shards()
     }
 
-    /// Resolved single-flight wait-map shard count.
+    /// Resolved single-flight wait-map shard count: always the cache's.
     pub fn n_flight_shards(&self) -> usize {
-        self.inflight.n_shards()
+        self.inflight.shards.len()
     }
 
     /// The published code with global id `gid` (diagnostics / the stress
@@ -889,6 +678,13 @@ impl SharedRuntime {
     /// Panics if `gid` is a base-module id or out of range.
     pub fn code(&self, gid: u32) -> Arc<CodeFunc> {
         Arc::clone(&self.registry.read().unwrap()[gid as usize - self.base_len])
+    }
+
+    /// Append `f` to the registry; returns its global id.
+    fn publish_code(&self, f: CodeFunc) -> u32 {
+        let mut reg = self.registry.write().unwrap();
+        reg.push(Arc::new(f));
+        (self.base_len + reg.len() - 1) as u32
     }
 
     /// Drop every specialization cached at `point`, exactly like
@@ -905,10 +701,8 @@ impl SharedRuntime {
             .fetch_add(1, Ordering::Relaxed);
         self.cache.purge_prefix(u64::from(point));
         let entry = self.sites.read().unwrap().get(point as usize).cloned();
-        if let Some(e) = entry {
-            if let Some(ev) = &e.evict {
-                ev.reset();
-            }
+        if let Some(ev) = entry.as_ref().and_then(|e| e.evict.as_ref()) {
+            ev.reset();
         }
     }
 
@@ -930,38 +724,17 @@ impl SharedRuntime {
     /// call while threads run, though a bundle snapshotted mid-burst
     /// simply misses in-flight specializations.
     pub fn snapshot_bundle(&self) -> CacheBundle {
-        let cfg = artifact::config_hash(&self.staged.cfg);
-        let prog = artifact::program_hash(&self.staged);
-        let n_entry = self.staged.entry_sites.len();
         let guard = self.sites.read().unwrap();
-        let sites = guard[n_entry..]
-            .iter()
-            .map(|e| SiteSpec::from_site(&e.site))
-            .collect();
+        let sites: Vec<&Site> = guard.iter().map(|e| &e.site).collect();
         let entries = self
             .cache_snapshot()
             .into_iter()
-            .map(|(site, key, gid)| {
-                let schema = guard[site as usize]
-                    .site
-                    .key_vars
-                    .iter()
-                    .map(|v| v.0)
-                    .collect();
-                artifact::artifact_for_func(cfg, prog, site, key, schema, &self.code(gid))
-            })
-            .collect();
-        CacheBundle {
-            version: ARTIFACT_VERSION,
-            config_hash: cfg,
-            program_hash: prog,
-            n_entry_sites: n_entry as u32,
-            sites,
-            entries,
-        }
+            .map(|(site, key, gid)| (site, key, self.code(gid)));
+        artifact::snapshot(&self.staged, &sites, entries)
     }
 
-    /// Warm-start the shared runtime from a snapshot bundle, mirroring
+    /// Warm-start the shared runtime from a snapshot bundle, with the
+    /// same verification as
     /// [`Runtime::restore_bundle`](crate::Runtime::restore_bundle): the
     /// header's `(version, config-hash, program-hash)` triple and site
     /// layout must match and the runtime must be fresh (nothing
@@ -972,69 +745,37 @@ impl SharedRuntime {
     /// Rejections and loads are metered in [`ConcSnapshot`]
     /// (`cache_warm_rejects` / `cache_warm_loads`); nothing panics.
     pub fn restore_bundle(&self, bundle: &CacheBundle) {
-        let expect_cfg = artifact::config_hash(&self.staged.cfg);
-        let expect_prog = artifact::program_hash(&self.staged);
-        let fresh = self.n_sites() == self.staged.entry_sites.len() && self.published() == 0;
-        let header_ok = bundle.version == ARTIFACT_VERSION
-            && bundle.config_hash == expect_cfg
-            && bundle.program_hash == expect_prog
-            && bundle.n_entry_sites as usize == self.staged.entry_sites.len()
-            && fresh;
-        let internal: Option<Vec<Site>> = if header_ok {
-            bundle.sites.iter().map(|s| s.to_site().ok()).collect()
-        } else {
-            None
-        };
-        let Some(internal) = internal else {
+        let check = BundleCheck::new(&self.staged);
+        let n_entry = self.n_entry_sites();
+        let fresh = self.n_sites() == n_entry && self.published() == 0;
+        let reject = |n: u64| {
             self.stats
                 .cache_warm_rejects
-                .fetch_add(bundle.entries.len() as u64, Ordering::Relaxed);
+                .fetch_add(n, Ordering::Relaxed)
+        };
+        let Some(internal) = check.header(bundle, n_entry, fresh) else {
+            reject(bundle.entries.len() as u64);
             return;
         };
-        {
-            let mut host = SharedSiteHost { shared: self };
-            for site in internal {
-                host.add_site(site);
-            }
+        let mut host = SharedSiteHost { shared: self };
+        for site in internal {
+            host.add_site(site);
         }
         let guard = self.sites.read().unwrap();
         for art in &bundle.entries {
             let entry = guard.get(art.site as usize);
-            let site_ok = entry.is_some_and(|e| {
-                art.key_schema == e.site.key_vars.iter().map(|v| v.0).collect::<Vec<_>>()
-            });
-            if art.verify(expect_cfg, expect_prog).is_err() || !site_ok {
-                self.stats
-                    .cache_warm_rejects
-                    .fetch_add(1, Ordering::Relaxed);
+            let full = entry.is_some_and(|e| e.evict.as_ref().is_some_and(EvictCtl::at_capacity));
+            if !check.entry(art, entry.map(|e| &e.site)) || full {
+                reject(1);
                 continue;
             }
-            let entry = entry.expect("checked above");
             let mut full_key = Vec::with_capacity(art.key.len() + 1);
             full_key.push(u64::from(art.site));
             full_key.extend_from_slice(&art.key);
-            let clock_idx = match &entry.evict {
-                Some(ev) => {
-                    if ev.at_capacity() {
-                        self.stats
-                            .cache_warm_rejects
-                            .fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let (ci, evicted) = ev.admit(&full_key);
-                    if let Some(old) = evicted {
-                        self.cache.remove(&old);
-                    }
-                    ci
-                }
-                None => 0,
-            };
-            let gid = {
-                let mut reg = self.registry.write().unwrap();
-                let gid = (self.base_len + reg.len()) as u32;
-                reg.push(Arc::new(art.to_func()));
-                gid
-            };
+            let clock_idx = entry
+                .and_then(|e| e.evict.as_ref())
+                .map_or(0, |ev| ev.admit(&full_key).0);
+            let gid = self.publish_code(art.to_func());
             if let Some(eng) = &self.policy {
                 // Restored entries are already-proven keys: seed the
                 // engine so they never defer and re-specialize
@@ -1048,51 +789,37 @@ impl SharedRuntime {
 
     /// Snapshot of the global meters.
     pub fn stats(&self) -> ConcSnapshot {
+        let s = &self.stats;
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let m = |m: Meter| get(&s.meters[m as usize]);
         ConcSnapshot {
-            specializations: self.stats.specializations.load(Ordering::Relaxed),
-            single_flight_waits: self.stats.single_flight_waits.load(Ordering::Relaxed),
-            single_flight_fallbacks: self.stats.single_flight_fallbacks.load(Ordering::Relaxed),
-            single_flight_races: self.stats.single_flight_races.load(Ordering::Relaxed),
-            cache_evictions: self.stats.cache_evictions.load(Ordering::Relaxed),
-            cache_invalidations: self.stats.cache_invalidations.load(Ordering::Relaxed),
-            generic_continuations: self.stats.generic_continuations.load(Ordering::Relaxed),
-            cache_warm_loads: self.stats.cache_warm_loads.load(Ordering::Relaxed),
-            cache_warm_rejects: self.stats.cache_warm_rejects.load(Ordering::Relaxed),
-            native_installs: self.stats.native_installs.load(Ordering::Relaxed),
-            native_fallbacks: self.stats.native_fallbacks.load(Ordering::Relaxed),
-            policy_defers: self.stats.policy_defers.load(Ordering::Relaxed),
-            policy_promotes: self.stats.policy_promotes.load(Ordering::Relaxed),
-            policy_throttled: self.stats.policy_throttled.load(Ordering::Relaxed),
-            published: self.registry.read().unwrap().len() as u64,
+            specializations: m(Meter::Published),
+            single_flight_waits: m(Meter::FlightWait),
+            single_flight_fallbacks: m(Meter::FlightFallback),
+            single_flight_races: m(Meter::FlightRace),
+            cache_evictions: m(Meter::Eviction),
+            cache_invalidations: get(&s.cache_invalidations),
+            generic_continuations: get(&s.generic_continuations),
+            cache_warm_loads: get(&s.cache_warm_loads),
+            cache_warm_rejects: get(&s.cache_warm_rejects),
+            native_installs: m(Meter::NativeInstall),
+            native_fallbacks: m(Meter::NativeFallback),
+            policy_defers: m(Meter::PolicyDefer),
+            policy_promotes: m(Meter::PolicyPromote),
+            policy_throttled: m(Meter::PolicyThrottle),
+            published: self.published() as u64,
             shards: self.cache.meters(),
         }
     }
 
     /// The global id of `entry`'s generic continuation, compiling and
-    /// publishing it on first use. The continuation is ordinary
-    /// unspecialized code (annotations vanish, the site's baked static
-    /// context is materialized as constants), so it is charged like
-    /// statically compiled code — no dynamic-compilation cycles.
+    /// publishing it on first use.
     fn generic_continuation(&self, entry: &SiteEntry) -> u32 {
         let mut slot = entry.fallback.lock().unwrap();
         if let Some(g) = *slot {
             return g;
         }
-        let site = &entry.site;
-        let consts: Vec<_> = site.base_store.iter().map(|(v, val)| (*v, *val)).collect();
-        let cf = dyc_ir::codegen::codegen_region_generic(
-            &self.staged.ir.funcs[site.func],
-            site.block,
-            site.inst_idx,
-            &site.arg_vars,
-            &consts,
-        );
-        let gid = {
-            let mut reg = self.registry.write().unwrap();
-            let gid = (self.base_len + reg.len()) as u32;
-            reg.push(Arc::new(cf));
-            gid
-        };
+        let gid = self.publish_code(generic_code(&self.staged, &entry.site));
         self.stats
             .generic_continuations
             .fetch_add(1, Ordering::Relaxed);
@@ -1101,168 +828,55 @@ impl SharedRuntime {
     }
 }
 
-/// Outcome of the single-flight miss path.
-enum MissResult {
-    /// Specialized code (winner's own, or the winner we waited for).
-    Spec(u32),
-    /// The generic continuation — invoked with the *full* dispatch
-    /// arguments, not the dynamic subset.
-    Generic(u32),
-}
-
-/// One thread's dispatch handler over a [`SharedRuntime`]. Owns the
-/// thread-local state — per-thread [`RtStats`], the reusable key buffer,
-/// and the lazy map from global code ids to this thread's module-local
-/// [`FuncId`]s — so the steady-state hit path takes one shard read-lock
-/// and performs no heap allocation.
+/// One thread's cache backend over a [`SharedRuntime`]: the reusable
+/// prefixed key buffer, the locally cached prefix of the shared site
+/// table, and the lazy map from global code ids to this thread's
+/// module-local [`FuncId`]s — so the steady-state hit path takes one
+/// shard read-lock and performs no heap allocation.
 #[derive(Debug)]
-pub struct ThreadRuntime {
+pub struct SharedCache {
     shared: Arc<SharedRuntime>,
-    /// This thread's run-time meters. `specializations` counts only
-    /// specializations this thread won; the global total lives in
-    /// [`SharedRuntime::stats`].
-    pub stats: RtStats,
-    scratch_key: Vec<u64>,
+    /// The shared-cache key of the current dispatch: `[site, key bits...]`.
+    full_key: Vec<u64>,
     /// Global registry id − `base_len` → this thread's local [`FuncId`],
     /// filled on first use.
     local_ids: Vec<Option<FuncId>>,
     /// Locally cached prefix of the shared site table (append-only, so a
     /// prefix is never stale).
     site_cache: Vec<Arc<SiteEntry>>,
-    /// This thread's event recorder ([`Trace::off`] unless
-    /// [`SharedOptions::trace`] or the staged config's `trace` flag is
-    /// set). Recording never touches [`RtStats`], published code, or
-    /// results; drain it with [`Trace::events`] after the run.
-    pub trace: Trace,
-    /// This thread's native x86-64 engine. Each thread owns its own
-    /// executable arena (mirroring the private module replica), keyed by
-    /// the thread-local [`FuncId`]s from [`ThreadRuntime::materialize`].
-    /// Inert on platforms without the backend.
-    native: NativeEngine,
-    /// Miss-path latency histogram, present when
-    /// [`SharedOptions::latency`] is set. Boxed so the (cold) miss
-    /// path's bookkeeping doesn't bloat the handler the hit path walks.
-    miss_hist: Option<Box<LatencyHistogram>>,
-    /// This thread's live-telemetry handle, present when the shared
-    /// runtime had handles attached ([`SharedRuntime::attach_live`])
-    /// before this thread was created. The warm path pays one `None`
-    /// branch when telemetry is off and two relaxed atomic adds when on.
-    live: Option<Box<LiveThread>>,
 }
 
-impl ThreadRuntime {
-    /// The shared runtime this handler dispatches against.
-    pub fn shared(&self) -> &Arc<SharedRuntime> {
-        &self.shared
-    }
-
-    /// This thread's miss-path latency histogram, when
-    /// [`SharedOptions::latency`] was set: one sample per dispatch miss,
-    /// wall nanoseconds from miss detection to runnable code. Merge the
-    /// per-thread histograms ([`LatencyHistogram::merge`]) for whole-run
-    /// percentiles.
-    pub fn miss_latency(&self) -> Option<&LatencyHistogram> {
-        self.miss_hist.as_deref()
-    }
-
-    /// [`SharedRuntime::invalidate_site`], recorded in this thread's
-    /// trace (the shared method is `&self` and has no recorder).
-    pub fn invalidate_site(&mut self, point: u32) {
-        self.shared.invalidate_site(point);
-        self.trace
-            .rec(EventKind::CacheInvalidate, point, 0, 0, 0, 0);
-    }
-
-    /// Native backend gate: [`SharedOptions::native`] or the staged
-    /// config's `native` flag.
-    fn native_on(&self) -> bool {
-        self.shared.opts.native || self.shared.staged.cfg.native
-    }
-
-    /// Hand a lowered artifact to this thread's native engine, metering
-    /// the outcome locally and globally.
-    fn install_native(&mut self, point: u32, fid: FuncId, art: Option<NativeArtifact>) {
-        match self.native.install(fid, art) {
-            Some(len) => {
-                self.stats.native_installs += 1;
-                self.shared
-                    .stats
-                    .native_installs
-                    .fetch_add(1, Ordering::Relaxed);
-                self.trace
-                    .rec(EventKind::NativeInstall, point, 0, 0, len as u64, 0);
-                self.live_event(EventKind::NativeInstall, point, &[], 0, len as u64, 0);
-            }
-            None => {
-                self.stats.native_fallbacks += 1;
-                self.shared
-                    .stats
-                    .native_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-                self.trace.rec(EventKind::NativeFallback, point, 0, 0, 0, 0);
-                self.live_event(EventKind::NativeFallback, point, &[], 0, 0, 0);
-            }
+impl SharedCache {
+    fn set_local(&mut self, gid: u32, fid: FuncId) {
+        let idx = gid as usize - self.shared.base_len;
+        if idx >= self.local_ids.len() {
+            self.local_ids.resize(idx + 1, None);
         }
+        self.local_ids[idx] = Some(fid);
     }
+}
 
-    /// Native fast path for an invocation tail: when `fid` has an
-    /// installed machine-code entry, run it here and hand the
-    /// interpreter a completed result. Charges nothing to the cycle
-    /// model.
-    fn finish_invoke(
-        &mut self,
-        fid: FuncId,
-        out_args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<DispatchOutcome, VmError> {
-        if let Some(entry) = self.native.entry(fid) {
-            let value = exec_entry(&entry, out_args, self, module, vm)?;
-            return Ok(DispatchOutcome::Completed { value });
-        }
-        Ok(DispatchOutcome::Invoke { func: fid })
-    }
+impl CacheBackend for SharedCache {
+    type Code = u32;
+    type Slot = ();
+    type Ticket = Arc<Flight>;
 
-    /// Bump a live counter by one (no-op without attached telemetry).
     #[inline]
-    fn live_bump(&self, m: LiveMetric) {
-        if let Some(l) = &self.live {
-            l.slot.add(m, 1);
-        }
+    fn staged(&self) -> &StagedProgram {
+        &self.shared.staged
     }
 
-    /// Record a cold-path event into this thread's flight ring, hashing
-    /// the key words only when a ring is attached. Always additional to
-    /// (never instead of) the `Trace` recorder, so tracing semantics are
-    /// unchanged whether or not telemetry is on.
     #[inline]
-    fn live_event(
-        &self,
-        kind: EventKind,
-        site: u32,
-        key_words: &[u64],
-        cycle: u64,
-        a: u64,
-        b: u64,
-    ) {
-        if let Some(l) = &self.live {
-            if let Some(ring) = &l.ring {
-                ring.record(kind, site, dyc_obs::key_hash(key_words), cycle, a, b);
-            }
-        }
+    fn policy(&self) -> Option<&PolicyEngine> {
+        self.shared.policy.as_ref()
     }
 
-    fn charge(&mut self, vm: &mut Vm, cycles: u64) {
-        self.stats.dyncomp_cycles += cycles;
-        vm.stats.dyncomp_cycles += cycles;
-    }
-
-    /// Make `site_cache[point]` valid, refreshing the local prefix from
-    /// the shared table only when `point` is beyond it (i.e. another
-    /// thread registered a new internal promotion site). The dispatch
-    /// path then borrows the entry in place, so a hit never touches the
-    /// shared `Arc`'s reference count.
-    fn refresh_sites(&mut self, point: u32) {
+    /// Refresh the local site prefix from the shared table only when
+    /// `point` is beyond it (another thread registered a new internal
+    /// promotion site). Dispatch then borrows the entry in place, so a
+    /// hit never touches the shared `Arc`'s reference count.
+    #[inline]
+    fn sync(&mut self, point: u32) {
         if point as usize >= self.site_cache.len() {
             let sites = self.shared.sites.read().unwrap();
             let have = self.site_cache.len();
@@ -1270,626 +884,155 @@ impl ThreadRuntime {
         }
     }
 
+    #[inline]
+    fn site(&self, point: u32) -> &Site {
+        &self.site_cache[point as usize].site
+    }
+
+    #[inline]
+    fn probe(&mut self, point: u32, _lane: Lane, key: &[u64]) -> (Probe<u32, ()>, u32) {
+        self.full_key.clear();
+        self.full_key.push(u64::from(point));
+        self.full_key.extend_from_slice(key);
+        let p = self.shared.cache.get(&self.full_key);
+        let probe = match p.value {
+            Some(v) => {
+                if let Some(ev) = &self.site_cache[point as usize].evict {
+                    ev.touch(v.clock_idx);
+                }
+                Probe::Hit(v.gid)
+            }
+            None => Probe::Miss(()),
+        };
+        (probe, p.probes)
+    }
+
     /// Copy published code `gid` into this thread's module on first use;
-    /// base-module ids map to themselves. `point` tags the native-install
-    /// trace event.
-    fn materialize(&mut self, point: u32, gid: u32, module: &mut Module, vm: &mut Vm) -> FuncId {
-        if (gid as usize) < self.shared.base_len {
-            return FuncId(gid);
-        }
-        let idx = gid as usize - self.shared.base_len;
-        if idx >= self.local_ids.len() {
-            self.local_ids.resize(idx + 1, None);
-        }
-        if let Some(f) = self.local_ids[idx] {
-            return f;
+    /// base-module ids map to themselves.
+    #[inline]
+    fn resolve(&mut self, gid: u32, module: &mut Module) -> (FuncId, bool) {
+        let Some(idx) = (gid as usize).checked_sub(self.shared.base_len) else {
+            return (FuncId(gid), false);
+        };
+        if let Some(Some(f)) = self.local_ids.get(idx) {
+            return (*f, false);
         }
         let cf = self.shared.registry.read().unwrap()[idx].as_ref().clone();
         let fid = module.add_func(cf);
-        // Installing code in this replica models the same `imb` + install
-        // cost the winner paid in its own module.
-        vm.flush_icache();
-        let install = self.shared.costs.install;
-        self.charge(vm, install);
-        self.local_ids[idx] = Some(fid);
-        // First materialization in this thread: lower to machine code in
-        // this thread's own arena (the winner thread did the same in
-        // `do_specialize`).
-        if self.native_on() {
-            let art = lower_func(module.func(fid));
-            self.install_native(point, fid, art);
-        }
-        fid
+        self.set_local(gid, fid);
+        (fid, true)
     }
 
-    /// Run the GE executor for this site/key in this thread's module.
-    /// `key` is the shared-cache key (`[site, key bits...]`), used only
-    /// to tag trace events.
-    fn do_specialize(
-        &mut self,
-        entry: &SiteEntry,
-        key: &[u64],
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<FuncId, VmError> {
-        let site = &entry.site;
-        let mut store = site.base_store.clone();
-        for (v, &p) in site.key_vars.iter().zip(&site.key_pos) {
-            store.insert(*v, args[p]);
-        }
-        self.stats.specializations += 1;
-        let Some(d) = site.division else {
-            return Err(VmError::Dispatch(
-                "concurrent dispatch requires a staged GE division \
-                 (online-specializer fallback is single-threaded only)"
-                    .into(),
-            ));
-        };
-        let point = key[0] as u32;
-        let kh = if self.trace.is_on() {
-            dyc_obs::key_hash(&key[1..])
-        } else {
-            0
-        };
-        let (dyn0, instr0) = (self.stats.dyncomp_cycles, self.stats.instrs_generated);
-        self.trace.rec(
-            EventKind::GeExecBegin,
-            point,
-            kh,
-            vm.stats.total_cycles(),
-            0,
-            0,
-        );
-        self.live_event(
-            EventKind::GeExecBegin,
-            point,
-            &key[1..],
-            vm.stats.total_cycles(),
-            0,
-            0,
-        );
-        let shared = Arc::clone(&self.shared);
-        let mut env = SpecEnv {
-            staged: &shared.staged,
-            costs: shared.costs,
-            budget: shared.opts.spec_budget,
-            stats: &mut self.stats,
-            trace: &mut self.trace,
-        };
-        let mut host = SharedSiteHost { shared: &shared };
-        let (f, native_art) =
-            GeExecutor::run(&mut env, &mut host, point, site, store, d, module, vm)?;
-        vm.flush_icache();
-        let install = shared.costs.install;
-        self.charge(vm, install);
-        if self.native_on() {
-            // The GE path lowered during emission when the staged config
-            // asked for it; lower the finished code otherwise.
-            let art = native_art.or_else(|| lower_func(module.func(f)));
-            self.install_native(point, f, art);
-        }
-        self.trace.rec(
-            EventKind::GeExecEnd,
-            point,
-            kh,
-            vm.stats.total_cycles(),
-            self.stats.dyncomp_cycles - dyn0,
-            self.stats.instrs_generated - instr0,
-        );
-        self.live_event(
-            EventKind::GeExecEnd,
-            point,
-            &key[1..],
-            vm.stats.total_cycles(),
-            self.stats.dyncomp_cycles - dyn0,
-            self.stats.instrs_generated - instr0,
-        );
-        if let Some(l) = &self.live {
-            // Per-site specialization economics for the sampler's
-            // break-even-drift window.
-            l.registry
-                .note_spec(point, self.stats.dyncomp_cycles - dyn0);
-        }
-        if let Some(eng) = &shared.policy {
-            // Feed the measured cost into the site's break-even
-            // threshold estimate.
-            eng.note_spec(point, self.stats.dyncomp_cycles - dyn0);
-        }
-        Ok(f)
-    }
-
-    /// Winner path: specialize, publish to the registry and cache, then
-    /// resolve and remove the flight (in that order — see the module docs
-    /// on memory ordering).
-    fn specialize_publish(
-        &mut self,
-        entry: &SiteEntry,
-        key: &[u64],
-        args: &[Value],
-        flight: &Flight,
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<u32, VmError> {
-        let out = match self.do_specialize(entry, key, args, module, vm) {
-            Ok(fid) => {
-                let cf = module.func(fid).clone();
-                let gid = {
-                    let mut reg = self.shared.registry.write().unwrap();
-                    let gid = (self.shared.base_len + reg.len()) as u32;
-                    reg.push(Arc::new(cf));
-                    gid
-                };
-                let idx = gid as usize - self.shared.base_len;
-                if idx >= self.local_ids.len() {
-                    self.local_ids.resize(idx + 1, None);
-                }
-                self.local_ids[idx] = Some(fid);
-                let clock_idx = match &entry.evict {
-                    Some(ev) => {
-                        if let Some(eng) = &self.shared.policy {
-                            // Auto-sizing: revivals observed at this site
-                            // grow the effective bound (pre-allocated
-                            // headroom, so no reallocation).
-                            if let SitePolicy::CacheAllBounded(k) = entry.site.policy {
-                                ev.grow_to(eng.cap_for(key[0] as u32, k.max(1) as usize));
-                            }
-                        }
-                        let (ci, evicted) = ev.admit(key);
-                        if let Some(old) = evicted {
-                            // Outside the clock mutex: see `admit` docs.
-                            self.shared.cache.remove(&old);
-                            self.stats.cache_evictions += 1;
-                            self.shared
-                                .stats
-                                .cache_evictions
-                                .fetch_add(1, Ordering::Relaxed);
-                            if self.trace.is_on() {
-                                self.trace.rec(
-                                    EventKind::CacheEvict,
-                                    key[0] as u32,
-                                    dyc_obs::key_hash(&old[1..]),
-                                    vm.stats.total_cycles(),
-                                    u64::from(ci),
-                                    0,
-                                );
-                            }
-                            self.live_bump(LiveMetric::Evictions);
-                            self.live_event(
-                                EventKind::CacheEvict,
-                                key[0] as u32,
-                                &old[1..],
-                                vm.stats.total_cycles(),
-                                u64::from(ci),
-                                0,
-                            );
-                        }
-                        ci
-                    }
-                    None => 0,
-                };
-                self.shared
-                    .cache
-                    .insert(key.to_vec(), CacheVal { gid, clock_idx });
-                self.shared
-                    .stats
-                    .specializations
-                    .fetch_add(1, Ordering::Relaxed);
-                self.live_bump(LiveMetric::Specializations);
-                Ok(gid)
-            }
-            Err(e) => Err(e),
-        };
-        self.shared.inflight.shard(key).lock().unwrap().remove(key);
-        flight.resolve(match &out {
-            Ok(g) => Ok(*g),
-            Err(e) => Err(e.to_string()),
-        });
-        out
-    }
-
-    /// Single-flight miss path: become the winner or follow the policy.
-    fn miss(
-        &mut self,
-        entry: &SiteEntry,
-        key: &[u64],
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<MissResult, VmError> {
-        // Adaptive-policy gate: decide *whether* to specialize before
-        // entering the single-flight protocol. A deferred or throttled
-        // miss runs the generic continuation and never takes a flight.
-        if self.shared.policy.is_some() {
-            let shared = Arc::clone(&self.shared);
-            let eng = shared.policy.as_ref().expect("checked above");
-            let point = key[0] as u32;
-            let entry_site = (point as usize) < shared.staged.entry_sites.len();
-            let decision = eng.on_miss(key, entry_site);
-            let count = u64::from(eng.count_of(key));
-            let trace_on = self.trace.is_on();
-            let kh = if trace_on {
-                dyc_obs::key_hash(&key[1..])
-            } else {
-                0
-            };
-            match decision {
-                PolicyDecision::Specialize { promoted } => {
-                    if promoted {
-                        self.stats.policy_promotes += 1;
-                        shared.stats.policy_promotes.fetch_add(1, Ordering::Relaxed);
-                        self.live_bump(LiveMetric::PolicyPromotes);
-                        self.live_event(
-                            EventKind::PolicyPromote,
-                            point,
-                            &key[1..],
-                            vm.stats.total_cycles(),
-                            count,
-                            0,
-                        );
-                        if trace_on {
-                            self.trace.rec(
-                                EventKind::PolicyPromote,
-                                point,
-                                kh,
-                                vm.stats.total_cycles(),
-                                count,
-                                0,
-                            );
-                        }
-                    }
-                }
-                PolicyDecision::Defer => {
-                    self.stats.policy_defers += 1;
-                    shared.stats.policy_defers.fetch_add(1, Ordering::Relaxed);
-                    self.live_bump(LiveMetric::PolicyDefers);
-                    self.live_event(
-                        EventKind::PolicyDefer,
-                        point,
-                        &key[1..],
-                        vm.stats.total_cycles(),
-                        count,
-                        0,
-                    );
-                    if trace_on {
-                        self.trace.rec(
-                            EventKind::PolicyDefer,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            count,
-                            0,
-                        );
-                    }
-                    return Ok(MissResult::Generic(shared.generic_continuation(entry)));
-                }
-                PolicyDecision::Throttle => {
-                    self.stats.policy_throttled += 1;
-                    shared
-                        .stats
-                        .policy_throttled
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.live_bump(LiveMetric::PolicyThrottles);
-                    self.live_event(
-                        EventKind::PolicyThrottle,
-                        point,
-                        &key[1..],
-                        vm.stats.total_cycles(),
-                        count,
-                        0,
-                    );
-                    if trace_on {
-                        self.trace.rec(
-                            EventKind::PolicyThrottle,
-                            point,
-                            kh,
-                            vm.stats.total_cycles(),
-                            count,
-                            0,
-                        );
-                    }
-                    return Ok(MissResult::Generic(shared.generic_continuation(entry)));
-                }
-            }
-        }
-        enum Role {
-            Winner(Arc<Flight>),
-            Racer(Arc<Flight>),
-            Published(u32),
-        }
-        let role = {
+    /// The single-flight protocol: become the winner, or follow the miss
+    /// policy behind the thread that already is.
+    fn claim(&mut self, _point: u32, _slot: (), timed: bool) -> Claim<u32, Arc<Flight>> {
+        let key = &self.full_key;
+        let racer = {
             let mut map = self.shared.inflight.shard(key).lock().unwrap();
             if let Some(fl) = map.get(key) {
-                Role::Racer(Arc::clone(fl))
+                Arc::clone(fl)
             } else if let Some(v) = self.shared.cache.get(key).value {
                 // Published between our probe and taking the shard lock.
-                Role::Published(v.gid)
+                return Claim::Raced(v.gid);
             } else {
                 let fl = Arc::new(Flight::new());
-                map.insert(key.to_vec(), Arc::clone(&fl));
-                Role::Winner(fl)
+                map.insert(key.clone(), Arc::clone(&fl));
+                return Claim::Winner(fl);
             }
         };
-        match role {
-            Role::Published(gid) => {
-                self.shared
-                    .stats
-                    .single_flight_races
-                    .fetch_add(1, Ordering::Relaxed);
-                self.live_bump(LiveMetric::FlightRaces);
-                Ok(MissResult::Spec(gid))
+        match self.shared.opts.miss_policy {
+            MissPolicy::Block => {
+                let t0 = timed.then(now_ns);
+                let res = racer.wait();
+                Claim::Waited(res, t0.map_or(0, |t0| now_ns().saturating_sub(t0)))
             }
-            Role::Winner(fl) => {
-                vm.stats.dispatch_misses += 1;
-                self.specialize_publish(entry, key, args, &fl, module, vm)
-                    .map(MissResult::Spec)
-            }
-            Role::Racer(fl) => match self.shared.opts.miss_policy {
-                MissPolicy::Block => {
-                    self.stats.single_flight_waits += 1;
-                    self.shared
-                        .stats
-                        .single_flight_waits
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.live_bump(LiveMetric::FlightWaits);
-                    let t0 = (self.trace.is_on() || self.live.is_some()).then(now_ns);
-                    let res = fl.wait();
-                    if let Some(t0) = t0 {
-                        let waited = now_ns().saturating_sub(t0);
-                        if self.trace.is_on() {
-                            self.trace.rec(
-                                EventKind::FlightWait,
-                                key[0] as u32,
-                                dyc_obs::key_hash(&key[1..]),
-                                vm.stats.total_cycles(),
-                                waited,
-                                0,
-                            );
-                        }
-                        self.live_event(
-                            EventKind::FlightWait,
-                            key[0] as u32,
-                            &key[1..],
-                            vm.stats.total_cycles(),
-                            waited,
-                            0,
-                        );
-                    }
-                    match res {
-                        Ok(gid) => Ok(MissResult::Spec(gid)),
-                        Err(m) => Err(VmError::Dispatch(m)),
-                    }
-                }
-                MissPolicy::Fallback => {
-                    self.stats.single_flight_fallbacks += 1;
-                    self.shared
-                        .stats
-                        .single_flight_fallbacks
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.live_bump(LiveMetric::FlightFallbacks);
-                    if self.trace.is_on() {
-                        self.trace.rec(
-                            EventKind::FlightFallback,
-                            key[0] as u32,
-                            dyc_obs::key_hash(&key[1..]),
-                            vm.stats.total_cycles(),
-                            0,
-                            0,
-                        );
-                    }
-                    self.live_event(
-                        EventKind::FlightFallback,
-                        key[0] as u32,
-                        &key[1..],
-                        vm.stats.total_cycles(),
-                        0,
-                        0,
-                    );
-                    Ok(MissResult::Generic(self.shared.generic_continuation(entry)))
-                }
-            },
+            MissPolicy::Fallback => Claim::Fallback,
         }
     }
-}
 
-/// Charge a dispatch lookup to the thread's meters and the VM's. A free
-/// function so the dispatch path can call it while it borrows its site
-/// entry from the handler.
-fn charge_dispatch(stats: &mut RtStats, vm: &mut Vm, cycles: u64) {
-    stats.dispatch_cycles += cycles;
-    vm.stats.dispatch_cycles += cycles;
-}
-
-impl DispatchHandler for ThreadRuntime {
-    fn dispatch(
+    /// Publish to the registry and cache, then resolve and remove the
+    /// flight (in that order — see the module docs on memory ordering).
+    fn publish(
         &mut self,
         point: u32,
-        args: &[Value],
-        out_args: &mut Vec<Value>,
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<DispatchOutcome, VmError> {
-        self.refresh_sites(point);
+        _lane: Lane,
+        _key: &[u64],
+        flight: Arc<Flight>,
+        fid: FuncId,
+        module: &Module,
+    ) -> Option<(Vec<u64>, u32)> {
+        let shared = Arc::clone(&self.shared);
+        let gid = shared.publish_code(module.func(fid).clone());
+        self.set_local(gid, fid);
         let entry = &self.site_cache[point as usize];
-        let site = &entry.site;
-        if args.len() != site.arg_vars.len() {
-            return Err(VmError::Dispatch(format!(
-                "site {point}: expected {} args, got {}",
-                site.arg_vars.len(),
-                args.len()
-            )));
-        }
-
-        // Build the shared-cache key: [site, promoted key bits...]
-        // (cache-one-unchecked sites key on the site alone).
-        let mut key = std::mem::take(&mut self.scratch_key);
-        key.clear();
-        if key.capacity() < site.key_pos.len() + 1 {
-            self.stats.dispatch_allocs += 1;
-        }
-        key.push(u64::from(point));
-        if site.policy != SitePolicy::CacheOneUnchecked {
-            key.extend(site.key_pos.iter().map(|&p| args[p].key_bits()));
-        }
-
-        // Hit path: one shard read-lock, metered per policy with the same
-        // cost constants as the single-threaded dispatcher.
-        let probed = self.shared.cache.get(&key);
-        let cost = match site.policy {
-            SitePolicy::CacheOneUnchecked => {
-                let c = self.shared.costs.dispatch_unchecked;
-                charge_dispatch(&mut self.stats, vm, c);
-                self.stats.dispatch_unchecked += 1;
-                c
+        let mut evicted = None;
+        let clock_idx = match &entry.evict {
+            Some(ev) => {
+                if let (Some(eng), SitePolicy::CacheAllBounded(k)) =
+                    (&shared.policy, entry.site.policy)
+                {
+                    // Auto-sizing: revivals observed at this site grow
+                    // the effective bound (pre-allocated headroom, so no
+                    // reallocation).
+                    ev.grow_to(eng.cap_for(point, k.max(1) as usize));
+                }
+                let (ci, old) = ev.admit(&self.full_key);
+                if let Some(old) = old {
+                    // Outside the clock mutex: see `EvictCtl::admit`.
+                    shared.cache.remove(&old);
+                    evicted = Some((old[1..].to_vec(), ci));
+                }
+                ci
             }
-            SitePolicy::CacheIndexed => {
-                let c = self.shared.costs.dispatch_indexed;
-                charge_dispatch(&mut self.stats, vm, c);
-                self.stats.dispatch_indexed += 1;
-                c
-            }
-            SitePolicy::CacheAll | SitePolicy::CacheAllBounded(_) => {
-                let c = self
-                    .shared
-                    .costs
-                    .hashed_dispatch(key.len() - 1, probed.probes);
-                charge_dispatch(&mut self.stats, vm, c);
-                self.stats.dispatch_hashed += 1;
-                self.stats.dispatch_probes += u64::from(probed.probes);
-                c
-            }
+            None => 0,
         };
+        let key = &self.full_key;
+        shared
+            .cache
+            .insert(key.clone(), CacheVal { gid, clock_idx });
+        shared.inflight.shard(key).lock().unwrap().remove(key);
+        flight.resolve(Ok(gid));
+        evicted
+    }
 
-        // Trace tags: events record into the preallocated per-thread ring,
-        // so the warm path stays allocation-free even while tracing.
-        let trace_on = self.trace.is_on();
-        let kh = if trace_on {
-            dyc_obs::key_hash(&key[1..])
-        } else {
-            0
-        };
-        let hashed = matches!(
-            site.policy,
-            SitePolicy::CacheAll | SitePolicy::CacheAllBounded(_)
-        );
-        let probes = if hashed { u64::from(probed.probes) } else { 0 };
+    fn abandon(&mut self, flight: Arc<Flight>, err: &VmError) {
+        let key = &self.full_key;
+        self.shared.inflight.shard(key).lock().unwrap().remove(key);
+        flight.resolve(Err(err.to_string()));
+    }
 
-        let gid = match probed.value {
-            Some(v) => {
-                if let Some(l) = &self.live {
-                    l.slot.add(LiveMetric::Dispatches, 1);
-                    l.slot.add(LiveMetric::Hits, 1);
-                }
-                if let Some(eng) = &self.shared.policy {
-                    eng.note_hit(point);
-                }
-                if let Some(ev) = &entry.evict {
-                    ev.touch(v.clock_idx);
-                }
-                if trace_on {
-                    let kind = match site.policy {
-                        SitePolicy::CacheOneUnchecked => EventKind::DispatchUnchecked,
-                        SitePolicy::CacheIndexed => EventKind::DispatchIndexed,
-                        _ => EventKind::DispatchHit,
-                    };
-                    self.trace
-                        .rec(kind, point, kh, vm.stats.total_cycles(), cost, probes);
-                }
-                out_args.extend(site.dyn_pos.iter().map(|&i| args[i]));
-                v.gid
-            }
-            None => {
-                // The miss path needs `&mut self`, so it holds its own
-                // reference to the entry; only here is the `Arc` cloned.
-                let entry = Arc::clone(entry);
-                if trace_on {
-                    self.trace.rec(
-                        EventKind::DispatchMiss,
-                        point,
-                        kh,
-                        vm.stats.total_cycles(),
-                        cost,
-                        probes,
-                    );
-                }
-                self.live_bump(LiveMetric::Dispatches);
-                self.live_bump(LiveMetric::Misses);
-                self.live_event(
-                    EventKind::DispatchMiss,
-                    point,
-                    &key[1..],
-                    vm.stats.total_cycles(),
-                    cost,
-                    probes,
-                );
-                // Miss-path latency: miss detection → runnable code
-                // (specialize, wait, or continuation build), recorded in
-                // the pre-allocated per-thread histogram. Hit dispatches
-                // never reach this arm, so the warm path reads no clock.
-                let lat0 = (self.miss_hist.is_some() || self.live.is_some()).then(now_ns);
-                let missed = self.miss(&entry, &key, args, module, vm);
-                if let Some(t0) = lat0 {
-                    let d = now_ns().saturating_sub(t0);
-                    if let Some(h) = self.miss_hist.as_mut() {
-                        h.record(d);
-                    }
-                    if let Some(l) = &self.live {
-                        l.slot.record_miss_ns(d);
-                    }
-                }
-                match missed? {
-                    MissResult::Spec(gid) => {
-                        out_args.extend(entry.site.dyn_pos.iter().map(|&i| args[i]));
-                        gid
-                    }
-                    MissResult::Generic(gid) => {
-                        // The generic continuation takes every dispatch
-                        // argument (nothing is baked in but the base store).
-                        let fid = self.materialize(point, gid, module, vm);
-                        self.scratch_key = key;
-                        out_args.extend_from_slice(args);
-                        return self.finish_invoke(fid, out_args, module, vm);
-                    }
-                }
-            }
-        };
+    fn generic(&mut self, point: u32, module: &mut Module) -> (FuncId, bool) {
+        let gid = self
+            .shared
+            .generic_continuation(&self.site_cache[point as usize]);
+        self.resolve(gid, module)
+    }
 
-        let fid = self.materialize(point, gid, module, vm);
-        self.scratch_key = key;
-        self.finish_invoke(fid, out_args, module, vm)
+    fn with_spec<R>(&mut self, f: impl FnOnce(&StagedProgram, &mut dyn SpecHost) -> R) -> R {
+        let shared = &self.shared;
+        f(&shared.staged, &mut SharedSiteHost { shared })
+    }
+
+    fn count(&self, m: Meter) {
+        self.shared.stats.meters[m as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn invalidate(&mut self, point: u32) {
+        self.shared.invalidate_site(point);
     }
 }
 
-impl NativeDispatch for ThreadRuntime {
-    fn native_dispatch(
-        &mut self,
-        point: u32,
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<Option<Value>, VmError> {
-        // Mirror of the interpreter's `Dispatch` arm: count it, run the
-        // handler, then either take the completed value (the callee ran
-        // natively too) or interpret the specialized function.
-        vm.stats.dispatches += 1;
-        let mut out_args = Vec::new();
-        match self.dispatch(point, args, &mut out_args, module, vm)? {
-            DispatchOutcome::Completed { value } => Ok(value),
-            DispatchOutcome::Invoke { func } => vm.call_with_handler(module, self, func, &out_args),
-        }
-    }
+/// One thread's dispatch handler over a [`SharedRuntime`]: the
+/// [`DispatchCore`] over a [`SharedCache`]. It owns a private [`Module`]
+/// replica's code ids and per-thread [`RtStats`](crate::RtStats) —
+/// `specializations` counts only specializations this thread won; the
+/// global total lives in [`SharedRuntime::stats`].
+pub type ThreadRuntime = DispatchCore<SharedCache>;
 
-    fn native_call(
-        &mut self,
-        func: FuncId,
-        args: &[Value],
-        module: &mut Module,
-        vm: &mut Vm,
-    ) -> Result<Option<Value>, VmError> {
-        if let Some(entry) = self.native.entry(func) {
-            return exec_entry(&entry, args, self, module, vm);
-        }
-        vm.call_with_handler(module, self, func, args)
+impl ThreadRuntime {
+    /// The shared runtime this handler dispatches against.
+    pub fn shared(&self) -> &Arc<SharedRuntime> {
+        &self.backend.shared
     }
 }
 
@@ -1897,12 +1040,22 @@ impl NativeDispatch for ThreadRuntime {
 mod tests {
     use super::*;
     use dyc_bta::OptConfig;
-    use dyc_vm::CostModel;
+    use dyc_vm::{CostModel, Value, Vm};
 
     fn staged(src: &str) -> StagedProgram {
+        staged_with(src, OptConfig::all())
+    }
+
+    fn staged_with(src: &str, cfg: OptConfig) -> StagedProgram {
         let mut ir = dyc_ir::lower_program(&dyc_lang::parse_program(src).unwrap()).unwrap();
         dyc_ir::opt::optimize_program(&mut ir);
-        dyc_stage::stage_program(ir, OptConfig::all())
+        dyc_stage::stage_program(ir, cfg)
+    }
+
+    fn adaptive(src: &str) -> StagedProgram {
+        let mut cfg = OptConfig::all();
+        cfg.policy = dyc_bta::PolicyMode::Adaptive;
+        staged_with(src, cfg)
     }
 
     const POWER: &str = "int pow(int b, int e) { make_static(e);
@@ -2082,7 +1235,7 @@ mod tests {
         let entry = Arc::clone(&sites[0]);
         drop(sites);
         let gid = shared.generic_continuation(&entry);
-        let fid = t.materialize(0, gid, &mut module, &mut vm);
+        let (fid, _) = t.backend.resolve(gid, &mut module);
         for (b, e) in [(3i64, 4i64), (2, 0), (5, 3), (-2, 5)] {
             let args: Vec<Value> = entry
                 .site
@@ -2196,21 +1349,22 @@ mod tests {
             std::mem::size_of::<Vec<ShardMeter>>() + 15 * 8
         );
         let shared = SharedRuntime::new(staged(POWER));
+        let meter = |m: Meter| &shared.stats.meters[m as usize];
         let fields: [&AtomicU64; 14] = [
-            &shared.stats.specializations,
-            &shared.stats.single_flight_waits,
-            &shared.stats.single_flight_fallbacks,
-            &shared.stats.single_flight_races,
-            &shared.stats.cache_evictions,
+            meter(Meter::Published),
+            meter(Meter::FlightWait),
+            meter(Meter::FlightFallback),
+            meter(Meter::FlightRace),
+            meter(Meter::Eviction),
             &shared.stats.cache_invalidations,
             &shared.stats.generic_continuations,
             &shared.stats.cache_warm_loads,
             &shared.stats.cache_warm_rejects,
-            &shared.stats.native_installs,
-            &shared.stats.native_fallbacks,
-            &shared.stats.policy_defers,
-            &shared.stats.policy_promotes,
-            &shared.stats.policy_throttled,
+            meter(Meter::NativeInstall),
+            meter(Meter::NativeFallback),
+            meter(Meter::PolicyDefer),
+            meter(Meter::PolicyPromote),
+            meter(Meter::PolicyThrottle),
         ];
         for (i, f) in fields.iter().enumerate() {
             f.store(i as u64 + 1, Ordering::Relaxed);
@@ -2240,13 +1394,7 @@ mod tests {
 
     #[test]
     fn adaptive_policy_defers_then_promotes() {
-        let shared = Arc::new(SharedRuntime::with_options(
-            staged(POWER),
-            SharedOptions {
-                policy: PolicyMode::Adaptive,
-                ..SharedOptions::default()
-            },
-        ));
+        let shared = Arc::new(SharedRuntime::new(adaptive(POWER)));
         let mut t = SharedRuntime::thread(&shared);
         let mut module = shared.base_module();
         let mut vm = Vm::new(CostModel::alpha21164());
@@ -2276,13 +1424,7 @@ mod tests {
 
     #[test]
     fn adaptive_policy_counts_exactly_under_contention() {
-        let shared = Arc::new(SharedRuntime::with_options(
-            staged(POWER),
-            SharedOptions {
-                policy: PolicyMode::Adaptive,
-                ..SharedOptions::default()
-            },
-        ));
+        let shared = Arc::new(SharedRuntime::new(adaptive(POWER)));
         let n = 8;
         let barrier = Arc::new(std::sync::Barrier::new(n));
         let handles: Vec<_> = (0..n)
@@ -2327,13 +1469,7 @@ mod tests {
     fn adaptive_grows_bounded_caps_to_fit_the_working_set() {
         let src = "int pow(int b, int e) { make_static(e: cache_all(2));
             int r = 1; while (e > 0) { r = r * b; e = e - 1; } return r; }";
-        let shared = Arc::new(SharedRuntime::with_options(
-            staged(src),
-            SharedOptions {
-                policy: PolicyMode::Adaptive,
-                ..SharedOptions::default()
-            },
-        ));
+        let shared = Arc::new(SharedRuntime::new(adaptive(src)));
         let mut t = SharedRuntime::thread(&shared);
         let mut module = shared.base_module();
         let mut vm = Vm::new(CostModel::alpha21164());

@@ -22,10 +22,11 @@ use crate::runtime::Store;
 use crate::sink::{CodeSink, FnvBuild, VmSink};
 use crate::stats::RtStats;
 use dyc_bta::OptConfig;
+use dyc_ir::analysis::NaturalLoop;
 use dyc_ir::inst::{Callee, Inst};
-use dyc_ir::VReg;
+use dyc_ir::{BlockId, VReg};
 use dyc_vm::{Cc, FAluOp, FuncId, IAluOp, Instr, Module, Operand, Reg, UnOp, Value, Vm, VmError};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 /// A dense bitset over machine registers — the unit-local live-register
@@ -210,6 +211,30 @@ impl<K: Clone + Eq + Hash, S: CodeSink> Emitter<K, S> {
         if i >= self.reg_map.len() {
             self.reg_map.resize(i + 1, NO_REG);
         }
+    }
+
+    /// Bind the dynamic pass-through parameters — the `arg_vars` not in
+    /// `store`, in arg order — to the first registers; returns how many.
+    pub(crate) fn bind_params(&mut self, arg_vars: &[VReg], store: &Store) -> usize {
+        let dyn_params: Vec<VReg> = arg_vars
+            .iter()
+            .filter(|v| !store.contains_key(v))
+            .copied()
+            .collect();
+        for (i, v) in dyn_params.iter().enumerate() {
+            self.set_reg(*v, i as u32);
+        }
+        self.next_reg = dyn_params.len() as u32;
+        dyn_params.len()
+    }
+
+    /// Meter the finished emission into `stats`; returns the cycles to
+    /// charge (run-time execution plus emission).
+    pub(crate) fn meter(&self, stats: &mut RtStats) -> u64 {
+        stats.instrs_generated += self.emitted() as u64;
+        stats.ge_exec_cycles += self.exec_cycles;
+        stats.emit_cycles += self.emit_cycles;
+        self.total_cycles()
     }
 
     /// Pre-assign a register (dynamic pass-through parameters).
@@ -1219,6 +1244,121 @@ impl<K: Clone + Eq + Hash, S: CodeSink> Emitter<K, S> {
             self.sink.patch_branch(at, dest);
             self.emit_cycles += costs.branch_patch;
         }
+    }
+}
+
+/// Shape instrumentation both specializers keep while emitting, for
+/// Table 2's unrolling and division columns: the units each loop header
+/// was reached by, the control edges between units, and the
+/// static-variable sets seen at each block.
+#[derive(Debug, Default)]
+pub(crate) struct UnitShape {
+    header_units: HashMap<BlockId, HashSet<u32>>,
+    edges: Vec<(u32, u32)>,
+    cur: Option<u32>,
+    division_sets: HashMap<BlockId, HashSet<Vec<u32>>>,
+}
+
+impl UnitShape {
+    /// Unit `id` of `block`, with static variables `vars`, is next in
+    /// its chain; `header` when it is a loop-header unit with static
+    /// state.
+    pub(crate) fn enter(&mut self, id: u32, block: BlockId, header: bool, vars: Vec<u32>) {
+        if header {
+            self.header_units.entry(block).or_default().insert(id);
+        }
+        // Polyvariant division: the same point analyzed/compiled under
+        // different static-variable *sets* (§2.2.5).
+        self.division_sets.entry(block).or_default().insert(vars);
+    }
+
+    /// Unit `id` starts emitting: later edges leave it.
+    pub(crate) fn begin(&mut self, id: u32) {
+        self.cur = Some(id);
+    }
+
+    /// The current unit has a control edge to unit `to`.
+    pub(crate) fn edge(&mut self, to: u32) {
+        if let Some(from) = self.cur {
+            self.edges.push((from, to));
+        }
+    }
+
+    /// Meter the finished specialization's shape: every header reached by
+    /// two or more units is a completely unrolled loop, multi-way
+    /// (§2.2.4) when its unit graph diverges, and every block seen under
+    /// two or more static-variable sets is an observed division.
+    pub(crate) fn meter(
+        &self,
+        stats: &mut RtStats,
+        loops: &[NaturalLoop],
+        block_of: impl Fn(u32) -> BlockId,
+    ) {
+        for (h, units) in &self.header_units {
+            if units.len() < 2 {
+                continue;
+            }
+            stats.loops_unrolled += 1;
+            if let Some(l) = loops.iter().find(|l| l.header == *h) {
+                if self.multiway(l, units, &block_of) {
+                    stats.multi_way_unroll = true;
+                }
+            }
+        }
+        stats.divisions_observed +=
+            self.division_sets.values().filter(|s| s.len() >= 2).count() as u64;
+    }
+
+    /// Classify an unrolled loop as multi-way: some unit of the loop body
+    /// can reach two or more distinct header units (a tree, like binary
+    /// search), or a header unit is entered from two places (a graph,
+    /// like an interpreted guest loop).
+    fn multiway(
+        &self,
+        l: &NaturalLoop,
+        units: &HashSet<u32>,
+        block_of: &impl Fn(u32) -> BlockId,
+    ) -> bool {
+        // Adjacency restricted to units whose blocks are in the loop body.
+        let mut succs: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut in_deg: HashMap<u32, u32> = HashMap::new();
+        for (from, to) in &self.edges {
+            if !l.body.contains(&block_of(*from)) {
+                continue;
+            }
+            if units.contains(to) {
+                *in_deg.entry(*to).or_insert(0) += 1;
+            }
+            succs.entry(*from).or_default().push(*to);
+        }
+        if in_deg.values().any(|d| *d >= 2) {
+            return true;
+        }
+        // From each header unit, walk the body without passing through
+        // other header units; reaching two of them means divergence.
+        for k in units {
+            let mut reached: HashSet<u32> = HashSet::new();
+            let mut seen: HashSet<u32> = HashSet::new();
+            let mut stack: Vec<u32> = vec![*k];
+            while let Some(u) = stack.pop() {
+                for v in succs.get(&u).map(Vec::as_slice).unwrap_or(&[]) {
+                    if !l.body.contains(&block_of(*v)) {
+                        continue;
+                    }
+                    if units.contains(v) {
+                        reached.insert(*v);
+                        continue;
+                    }
+                    if seen.insert(*v) {
+                        stack.push(*v);
+                    }
+                }
+            }
+            if reached.len() >= 2 {
+                return true;
+            }
+        }
+        false
     }
 }
 

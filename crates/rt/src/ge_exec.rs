@@ -29,38 +29,39 @@
 //! edge instrumentation do no repeated key hashing.
 
 use crate::costs::DynCosts;
-use crate::emitter::{mov_const, opnd_value, Emitted, Emitter, Opnd, RegSet};
+use crate::emitter::{mov_const, opnd_value, Emitted, Emitter, Opnd, RegSet, UnitShape};
 use crate::native::NativeArtifact;
 use crate::runtime::{Site, Store};
 use crate::sink::{InstallSink, NativeSink};
 use crate::stats::RtStats;
-use dyc_ir::{BlockId, VReg};
+use dyc_ir::VReg;
 use dyc_obs::{EventKind, Trace};
 use dyc_stage::{
     ibin_special_case, AbsAlias, EdgePlan, GeDivision, GeFunc, GeOp, GeTerm, Guard, PatchOp, Slot,
     StagedProgram, Template,
 };
 use dyc_vm::{Cc, FuncId, Instr, Module, Operand, Reg, Value, Vm, VmError};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Where freshly created internal promotion sites are registered.
 ///
-/// The GE executor itself is host-agnostic: the single-threaded
+/// Both specializers are host-agnostic: the owned cache backend of
 /// [`crate::Runtime`] appends to its private site vector, while the
-/// concurrent runtime ([`crate::concurrent`]) appends to an `Arc`-shared
-/// site table under a write lock. Returns the new site's dispatch point
-/// id — the id is embedded in the emitted `Dispatch` instruction, so
-/// hosts must hand out ids from the same numbering the dispatch handler
+/// shared one ([`crate::concurrent`]) appends to an `Arc`-shared site
+/// table under a write lock. Returns the new site's dispatch point id —
+/// the id is embedded in the emitted `Dispatch` instruction, so hosts
+/// must hand out ids from the same numbering the dispatch handler
 /// resolves later.
-pub(crate) trait SpecHost {
+pub trait SpecHost {
     /// Register `site`, returning its dispatch point id.
     fn add_site(&mut self, site: Site) -> u32;
 }
 
 /// The read/metering context a specialization runs against, split off
-/// from the runtime so the executor never borrows a whole `&mut Runtime`
-/// (the concurrent runtime has no such object to lend).
+/// from the dispatch core so neither specializer borrows a whole runtime
+/// (the staged program lives in the cache backend, the meters in the
+/// core).
 pub(crate) struct SpecEnv<'a> {
     /// The staged program (GE programs, IR, config).
     pub staged: &'a StagedProgram,
@@ -142,11 +143,8 @@ pub struct GeExecutor {
     /// Division of each interned unit id (parallel to the emitter's
     /// label table).
     unit_division: Vec<u32>,
-    // Instrumentation (mirrors the online specializer exactly).
-    header_units: HashMap<BlockId, HashSet<u32>>,
-    unit_edges: Vec<(u32, u32)>,
-    cur_unit: Option<u32>,
-    division_sets: HashMap<BlockId, HashSet<Vec<u32>>>,
+    /// Shape instrumentation (shared with the online specializer).
+    shape: UnitShape,
 }
 
 impl GeExecutor {
@@ -184,10 +182,7 @@ impl GeExecutor {
             point,
             key_hash,
             unit_division: Vec::new(),
-            header_units: HashMap::new(),
-            unit_edges: Vec::new(),
-            cur_unit: None,
-            division_sets: HashMap::new(),
+            shape: UnitShape::default(),
             gef,
         };
         if env.staged.cfg.native {
@@ -197,17 +192,7 @@ impl GeExecutor {
             ex.em.sink = InstallSink::Native(NativeSink::default());
         }
 
-        // Dynamic pass-through parameters, in arg order.
-        let dyn_params: Vec<VReg> = site
-            .arg_vars
-            .iter()
-            .filter(|v| !store.contains_key(v))
-            .copied()
-            .collect();
-        for (i, v) in dyn_params.iter().enumerate() {
-            ex.em.set_reg(*v, i as u32);
-        }
-        ex.em.next_reg = dyn_params.len() as u32;
+        let n_params = ex.em.bind_params(&site.arg_vars, &store);
 
         let entry = ex.unit_id(division, &store);
         ex.worklist.push((entry, store));
@@ -220,26 +205,13 @@ impl GeExecutor {
 
         ex.em.patch_fixups(&env.costs);
 
-        for (h, units) in &ex.header_units {
-            if units.len() < 2 {
-                continue;
-            }
-            env.stats.loops_unrolled += 1;
-            if ex.loop_is_multiway(*h, units) {
-                env.stats.multi_way_unroll = true;
-            }
-        }
-
-        env.stats.divisions_observed +=
-            ex.division_sets.values().filter(|s| s.len() >= 2).count() as u64;
-        env.stats.instrs_generated += ex.em.emitted() as u64;
-        env.stats.ge_exec_cycles += ex.em.exec_cycles;
-        env.stats.emit_cycles += ex.em.emit_cycles;
-        let cycles = ex.em.total_cycles();
+        let block_of = |id: u32| ex.gef.divisions[ex.division_of(id) as usize].block;
+        ex.shape.meter(env.stats, &ex.gef.loops, block_of);
+        let cycles = ex.em.meter(env.stats);
         env.charge(vm, cycles);
 
         let name = format!("{fname}$spec{}", module.len());
-        let mut cf = dyc_vm::CodeFunc::new(name, dyn_params.len(), ex.em.next_reg.max(1) as usize);
+        let mut cf = dyc_vm::CodeFunc::new(name, n_params, ex.em.next_reg.max(1) as usize);
         let (code, native) = ex.em.take_install();
         cf.code = code;
         Ok((module.add_func(cf), native))
@@ -288,11 +260,9 @@ impl GeExecutor {
             }
             let d = &self.gef.divisions[self.division_of(id) as usize];
             let block = d.block;
-            if self.gef.loop_headers.contains(&block) && !d.vars.is_empty() {
-                self.header_units.entry(block).or_default().insert(id);
-            }
-            let var_set: Vec<u32> = d.vars.iter().map(|v| v.0).collect();
-            self.division_sets.entry(block).or_default().insert(var_set);
+            let header = self.gef.loop_headers.contains(&block) && !d.vars.is_empty();
+            let vars = d.vars.iter().map(|v| v.0).collect();
+            self.shape.enter(id, block, header, vars);
             cur = self.emit_unit(id, store, env, host, module, vm)?;
         }
         Ok(())
@@ -309,7 +279,7 @@ impl GeExecutor {
         vm: &mut Vm,
     ) -> Result<Option<(u32, Store)>, VmError> {
         let d: GeDivision = self.gef.divisions[self.division_of(id) as usize].clone();
-        self.cur_unit = Some(id);
+        self.shape.begin(id);
         let mut rename: HashMap<VReg, Opnd> = HashMap::new();
         let mut scratch: HashMap<u64, Reg> = HashMap::new();
         let mut buf: Vec<Emitted> = Vec::new();
@@ -780,9 +750,7 @@ impl GeExecutor {
         }
         let out: Store = plan.carry.iter().map(|v| (*v, store[v])).collect();
         let id = self.unit_id(plan.target, &out);
-        if let Some(from) = self.cur_unit {
-            self.unit_edges.push((from, id));
-        }
+        self.shape.edge(id);
         (id, out)
     }
 
@@ -809,53 +777,6 @@ impl GeExecutor {
         } else {
             Some((id, st))
         }
-    }
-
-    /// Multi-way-unroll classification over the emitted unit graph —
-    /// identical in structure to the online specializer's, with blocks
-    /// read off the divisions.
-    fn loop_is_multiway(&self, header: BlockId, units: &HashSet<u32>) -> bool {
-        let Some(l) = self.gef.loops.iter().find(|l| l.header == header) else {
-            return false;
-        };
-        let block_of = |id: u32| self.gef.divisions[self.division_of(id) as usize].block;
-        let mut succs: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut in_deg: HashMap<u32, u32> = HashMap::new();
-        for (from, to) in &self.unit_edges {
-            if !l.body.contains(&block_of(*from)) {
-                continue;
-            }
-            if units.contains(to) {
-                *in_deg.entry(*to).or_insert(0) += 1;
-            }
-            succs.entry(*from).or_default().push(*to);
-        }
-        if in_deg.values().any(|d| *d >= 2) {
-            return true;
-        }
-        for k in units {
-            let mut reached: HashSet<u32> = HashSet::new();
-            let mut seen: HashSet<u32> = HashSet::new();
-            let mut stack: Vec<u32> = vec![*k];
-            while let Some(u) = stack.pop() {
-                for v in succs.get(&u).map(Vec::as_slice).unwrap_or(&[]) {
-                    if !l.body.contains(&block_of(*v)) {
-                        continue;
-                    }
-                    if units.contains(v) {
-                        reached.insert(*v);
-                        continue;
-                    }
-                    if seen.insert(*v) {
-                        stack.push(*v);
-                    }
-                }
-            }
-            if reached.len() >= 2 {
-                return true;
-            }
-        }
-        false
     }
 }
 

@@ -4,11 +4,11 @@
 //! with a dispatch into this crate and precompiles each region into a
 //! generating-extension (GE) program. At run time:
 //!
-//! 1. [`Runtime`] (a [`dyc_vm::DispatchHandler`]) receives the dispatch
-//!    with the live values, extracts the promoted key, and consults the
-//!    site's **dynamic-code cache** — the paper's double-hashing
-//!    `cache-all` table or the single-slot `cache-one-unchecked` policy
-//!    (§2.2.3).
+//! 1. The [`DispatchCore`] (a [`dyc_vm::DispatchHandler`]) receives the
+//!    dispatch with the live values, extracts the promoted key, and
+//!    consults the site's **dynamic-code cache** — the paper's
+//!    double-hashing `cache-all` table or the single-slot
+//!    `cache-one-unchecked` policy (§2.2.3).
 //! 2. On a miss, the [`ge_exec`] executor interprets the region's flat GE
 //!    program: it executes the precompiled static computations and emits
 //!    specialized VM code — complete loop unrolling, static loads &
@@ -23,8 +23,10 @@
 //!    I-cache is flushed, and every cycle of the work is charged to the
 //!    dynamic-compilation counters that feed Table 3.
 //!
-//! The [`concurrent`] module makes the same pipeline callable from many
-//! threads: an `Arc`-shared [`concurrent::SharedRuntime`] (sharded code
+//! One core serves both session kinds through a [`CacheBackend`]: a
+//! single session's [`Runtime`] owns its per-site tables, and the
+//! [`concurrent`] module makes the same pipeline callable from many
+//! threads — an `Arc`-shared [`concurrent::SharedRuntime`] (sharded code
 //! cache, single-flight specialization, bounded eviction) hands each
 //! thread its own [`concurrent::ThreadRuntime`] dispatch handler.
 
@@ -34,6 +36,7 @@ pub mod artifact;
 pub mod cache;
 pub mod concurrent;
 pub mod costs;
+pub mod dispatch;
 pub(crate) mod emitter;
 pub mod ge_exec;
 pub mod native;
@@ -46,12 +49,13 @@ pub mod stats;
 pub use artifact::{CacheBundle, CodeArtifact, ARTIFACT_VERSION};
 pub use cache::{CacheEntry, DoubleHashCache, Probed};
 pub use concurrent::{
-    ConcSnapshot, MissPolicy, ShardMeter, SharedOptions, SharedRuntime, ThreadRuntime,
+    ConcSnapshot, MissPolicy, ShardMeter, SharedCache, SharedOptions, SharedRuntime, ThreadRuntime,
 };
 pub use costs::DynCosts;
+pub use dispatch::{CacheBackend, DispatchCore};
 pub use ge_exec::GeExecutor;
 pub use native::{lower_func, NativeArtifact, NativeDispatch, NativeEngine};
 pub use policy::{PolicyDecision, PolicyEngine, PolicyParams};
-pub use runtime::{Runtime, Site, Store};
+pub use runtime::{OwnedCache, Runtime, Site, Store};
 pub use sink::{fnv1a, CodeSink, FnvBuild, InstallSink, NativeSink, RecordingSink, VmSink};
 pub use stats::RtStats;

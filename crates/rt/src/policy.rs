@@ -64,10 +64,11 @@
 //! performs them.
 //!
 //! Both [`Runtime`](crate::Runtime) and the sharded
-//! [`SharedRuntime`](crate::SharedRuntime) embed the same engine type;
-//! it is enabled by `OptConfig::policy =`
-//! [`PolicyMode::Adaptive`](dyc_bta::PolicyMode) (or
-//! `SharedOptions::policy`), and the default `Always` mode bypasses it
+//! [`SharedRuntime`](crate::SharedRuntime) embed the same engine type,
+//! consulted by the one dispatch core ([`crate::dispatch`]); it is
+//! enabled by `OptConfig::policy =`
+//! [`PolicyMode::Adaptive`](dyc_bta::PolicyMode), and the default
+//! `Always` mode bypasses it
 //! entirely — dispatch behavior, code bytes, and every existing table
 //! are unchanged.
 
@@ -159,6 +160,12 @@ impl PolicyEngine {
             counts: Mutex::new(HashMap::new()),
             meters: RwLock::new(Vec::new()),
         }
+    }
+
+    /// The engine a runtime in `mode` consults: `None` in the default
+    /// `Always` mode, so that mode never touches the engine.
+    pub(crate) fn for_mode(mode: dyc_bta::PolicyMode) -> Option<PolicyEngine> {
+        (mode == dyc_bta::PolicyMode::Adaptive).then(|| PolicyEngine::new(PolicyParams::default()))
     }
 
     /// The engine's parameters.

@@ -29,8 +29,9 @@
 //! staged path via `Emitter`, which is what keeps the
 //! two paths' output byte-identical.
 
-use crate::emitter::{mov_const, opnd_value, Emitted, Emitter, Opnd, RegSet};
-use crate::runtime::{Runtime, Site, Store};
+use crate::emitter::{mov_const, opnd_value, Emitted, Emitter, Opnd, RegSet, UnitShape};
+use crate::ge_exec::{SpecEnv, SpecHost};
+use crate::runtime::{Site, Store};
 use dyc_bta::{inst_binding, Binding, OptConfig};
 use dyc_ir::analysis::{natural_loops, Liveness, NaturalLoop};
 use dyc_ir::inst::{Inst, Term};
@@ -75,34 +76,27 @@ pub(crate) struct Specializer {
     budget: u64,
     /// Program point `(block, start)` of each interned unit id.
     unit_point: Vec<(u32, u32)>,
-    // Instrumentation.
-    header_units: HashMap<BlockId, HashSet<u32>>,
-    /// The emitted unit graph: every control edge between specialization
-    /// units. Analyzed afterwards to classify unrolled loops as single-way
-    /// (a chain of bodies) or multi-way (a tree or general graph, §2.2.4).
-    unit_edges: Vec<(u32, u32)>,
-    /// Unit currently being emitted (source of recorded edges).
-    cur_unit: Option<u32>,
-    /// Distinct static-variable *sets* (divisions) seen per block.
-    division_sets: HashMap<BlockId, HashSet<Vec<u32>>>,
+    /// Shape instrumentation (shared with the staged executor).
+    shape: UnitShape,
 }
 
 impl Specializer {
     /// Specialize `site` for the given store and install nothing — the
     /// caller installs the returned function.
     pub(crate) fn run(
-        rt: &mut Runtime,
+        env: &mut SpecEnv<'_>,
+        host: &mut dyn SpecHost,
         site: &Site,
         store: Store,
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<FuncId, VmError> {
-        let f = rt.staged.ir.funcs[site.func].clone();
-        let sf = &rt.staged.funcs[site.func];
+        let f = env.staged.ir.funcs[site.func].clone();
+        let sf = &env.staged.funcs[site.func];
         // An online loop analysis per specialization request: the first of
         // this run's run-time analysis costs.
         let loops = natural_loops(&f);
-        rt.stats.runtime_bta_calls += 1;
+        env.stats.runtime_bta_calls += 1;
         let float_vreg: Vec<bool> = (0..f.n_vregs())
             .map(|i| f.ty(VReg(i as u32)) == IrTy::Float)
             .collect();
@@ -115,30 +109,17 @@ impl Specializer {
             policies: sf.bta.policies.clone(),
             loop_headers: loops.iter().map(|l| l.header).collect(),
             loops,
-            cfg: rt.staged.cfg,
+            cfg: env.staged.cfg,
             fidx: site.func,
-            em: Emitter::new(rt.staged.cfg, float_vreg),
+            em: Emitter::new(env.staged.cfg, float_vreg),
             worklist: Vec::new(),
-            budget: rt.spec_budget,
+            budget: env.budget,
             unit_point: Vec::new(),
-            header_units: HashMap::new(),
-            unit_edges: Vec::new(),
-            cur_unit: None,
-            division_sets: HashMap::new(),
+            shape: UnitShape::default(),
             f,
         };
 
-        // Dynamic pass-through parameters, in arg order.
-        let dyn_params: Vec<VReg> = site
-            .arg_vars
-            .iter()
-            .filter(|v| !store.contains_key(v))
-            .copied()
-            .collect();
-        for (i, v) in dyn_params.iter().enumerate() {
-            spec.em.set_reg(*v, i as u32);
-        }
-        spec.em.next_reg = dyn_params.len() as u32;
+        let n_params = spec.em.bind_params(&site.arg_vars, &store);
 
         let entry = spec.unit_id(site.block, site.inst_idx, &store);
         spec.worklist.push((entry, store));
@@ -146,35 +127,19 @@ impl Specializer {
             if spec.em.sealed(id) {
                 continue;
             }
-            spec.emit_chain(id, st, rt, module, vm)?;
+            spec.emit_chain(id, st, env, host, module, vm)?;
         }
 
         // Patch branch targets.
-        spec.em.patch_fixups(&rt.costs);
+        spec.em.patch_fixups(&env.costs);
 
-        // Loop-unrolling instrumentation: classify each unrolled loop from
-        // the emitted unit graph.
-        for (h, units) in &spec.header_units {
-            if units.len() < 2 {
-                continue;
-            }
-            rt.stats.loops_unrolled += 1;
-            if spec.loop_is_multiway(*h, units) {
-                rt.stats.multi_way_unroll = true;
-            }
-        }
-
-        rt.stats.divisions_observed +=
-            spec.division_sets.values().filter(|s| s.len() >= 2).count() as u64;
-        rt.stats.instrs_generated += spec.em.emitted() as u64;
-        rt.stats.ge_exec_cycles += spec.em.exec_cycles;
-        rt.stats.emit_cycles += spec.em.emit_cycles;
-        let cycles = spec.em.total_cycles();
-        rt.charge(vm, cycles);
+        spec.shape
+            .meter(env.stats, &spec.loops, |id| spec.block_of(id));
+        let cycles = spec.em.meter(env.stats);
+        env.charge(vm, cycles);
 
         let name = format!("{}$spec{}", spec.f.name, module.len());
-        let mut cf =
-            dyc_vm::CodeFunc::new(name, dyn_params.len(), spec.em.next_reg.max(1) as usize);
+        let mut cf = dyc_vm::CodeFunc::new(name, n_params, spec.em.next_reg.max(1) as usize);
         cf.code = spec.em.take_code();
         Ok(module.add_func(cf))
     }
@@ -200,7 +165,8 @@ impl Specializer {
         &mut self,
         id: u32,
         store: Store,
-        rt: &mut Runtime,
+        env: &mut SpecEnv<'_>,
+        host: &mut dyn SpecHost,
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<(), VmError> {
@@ -216,14 +182,10 @@ impl Specializer {
                 ));
             }
             let block = self.block_of(id);
-            if self.loop_headers.contains(&block) && !store.is_empty() {
-                self.header_units.entry(block).or_default().insert(id);
-            }
-            // Polyvariant division: the same point analyzed/compiled under
-            // different static-variable *sets* (§2.2.5).
-            let var_set: Vec<u32> = store.keys().map(|v| v.0).collect();
-            self.division_sets.entry(block).or_default().insert(var_set);
-            cur = self.emit_unit(id, store, rt, module, vm)?;
+            let header = self.loop_headers.contains(&block) && !store.is_empty();
+            let vars = store.keys().map(|v| v.0).collect();
+            self.shape.enter(id, block, header, vars);
+            cur = self.emit_unit(id, store, env, host, module, vm)?;
         }
         Ok(())
     }
@@ -233,19 +195,20 @@ impl Specializer {
         &mut self,
         id: u32,
         mut store: Store,
-        rt: &mut Runtime,
+        env: &mut SpecEnv<'_>,
+        host: &mut dyn SpecHost,
         module: &mut Module,
         vm: &mut Vm,
     ) -> Result<Option<(u32, Store)>, VmError> {
         let (block, start) = self.unit_point[id as usize];
         let (block, start) = (BlockId(block), start as usize);
-        self.cur_unit = Some(id);
+        self.shape.begin(id);
         let mut rename: HashMap<VReg, Opnd> = HashMap::new();
         let mut scratch: HashMap<u64, Reg> = HashMap::new();
         let mut buf: Vec<Emitted> = Vec::new();
-        let costs = rt.costs;
+        let costs = env.costs;
         self.em.exec_cycles += costs.per_unit;
-        rt.stats.units_emitted += 1;
+        env.stats.units_emitted += 1;
 
         let n_insts = self.f.block(block).insts.len();
         let mut promotion: Option<(usize, Vec<VReg>)> = None;
@@ -299,7 +262,7 @@ impl Specializer {
                 _ => {
                     // Online binding-time classification: the run-time
                     // analysis cost the staged path precompiles away.
-                    rt.stats.runtime_bta_calls += 1;
+                    env.stats.runtime_bta_calls += 1;
                     self.em.exec_cycles += costs.classify;
                     let is_static = |v: VReg| store.contains_key(&v);
                     match inst_binding(&inst, &is_static, &self.cfg) {
@@ -309,7 +272,7 @@ impl Specializer {
                                 &mut store,
                                 &mut rename,
                                 &costs,
-                                &mut rt.stats,
+                                env.stats,
                                 module,
                                 vm,
                             )?;
@@ -325,7 +288,7 @@ impl Specializer {
                                 &mut scratch,
                                 &mut buf,
                                 &costs,
-                                &mut rt.stats,
+                                env.stats,
                             );
                         }
                         Binding::Annotation => unreachable!("annotations handled above"),
@@ -343,7 +306,7 @@ impl Specializer {
             // Internal dynamic-to-static promotion: end the unit with a
             // dispatch that resumes specialization once the values are
             // known (§2.2.2). Another run-time liveness query.
-            rt.stats.runtime_bta_calls += 1;
+            env.stats.runtime_bta_calls += 1;
             let live_here = live_at_point(&self.f, &self.live, block, idx);
             let live_set: BTreeSet<VReg> = live_here.iter().copied().collect();
             self.em
@@ -365,7 +328,8 @@ impl Specializer {
                     .map(|v| self.policies.get(v).copied().unwrap_or(Policy::CacheAll)),
                 missing.len(),
             );
-            let site_id = rt.add_site(Site {
+            env.stats.internal_promotions += 1;
+            let site_id = host.add_site(Site {
                 func: self.fidx,
                 block,
                 inst_idx: idx,
@@ -426,27 +390,27 @@ impl Specializer {
             }
             match term {
                 Term::Jmp(t) => {
-                    chain = self.take_edge(t, &store, &mut buf, &mut live_regs, rt);
+                    chain = self.take_edge(t, &store, &mut buf, &mut live_regs, env);
                 }
                 Term::Br { cond, t, f: fb } => {
                     match self.em.resolve(cond, &store, &rename) {
                         Opnd::KI(v) => {
-                            rt.stats.branches_folded += 1;
+                            env.stats.branches_folded += 1;
                             let target = if v != 0 { t } else { fb };
-                            chain = self.take_edge(target, &store, &mut buf, &mut live_regs, rt);
+                            chain = self.take_edge(target, &store, &mut buf, &mut live_regs, env);
                         }
                         Opnd::KF(v) => {
-                            rt.stats.branches_folded += 1;
+                            env.stats.branches_folded += 1;
                             let target = if v != 0.0 { t } else { fb };
-                            chain = self.take_edge(target, &store, &mut buf, &mut live_regs, rt);
+                            chain = self.take_edge(target, &store, &mut buf, &mut live_regs, env);
                         }
                         Opnd::R(r) => {
                             live_regs.insert(r);
                             // Demote for both successors before branching.
                             let (id_t, store_t) =
-                                self.edge_unit(t, &store, &mut buf, &mut live_regs, rt);
+                                self.edge_unit(t, &store, &mut buf, &mut live_regs, env);
                             let (id_f, store_f) =
-                                self.edge_unit(fb, &store, &mut buf, &mut live_regs, rt);
+                                self.edge_unit(fb, &store, &mut buf, &mut live_regs, env);
                             // Branch to the true side; fall through to false.
                             buf.push(Emitted {
                                 ins: Instr::Brnz { cond: r, target: 0 },
@@ -476,12 +440,12 @@ impl Specializer {
                 }
                 Term::Switch { on, cases, default } => match self.em.resolve(on, &store, &rename) {
                     Opnd::KI(v) => {
-                        rt.stats.branches_folded += 1;
+                        env.stats.branches_folded += 1;
                         let target = cases
                             .iter()
                             .find_map(|(k, b)| (*k == v).then_some(*b))
                             .unwrap_or(default);
-                        chain = self.take_edge(target, &store, &mut buf, &mut live_regs, rt);
+                        chain = self.take_edge(target, &store, &mut buf, &mut live_regs, env);
                     }
                     Opnd::KF(_) => unreachable!("switch scrutinee is int"),
                     Opnd::R(r) => {
@@ -489,7 +453,7 @@ impl Specializer {
                         let tmp = self.em.fresh_reg();
                         for (k, target) in &cases {
                             let (cid, st) =
-                                self.edge_unit(*target, &store, &mut buf, &mut live_regs, rt);
+                                self.edge_unit(*target, &store, &mut buf, &mut live_regs, env);
                             buf.push(Emitted {
                                 ins: Instr::ICmp {
                                     cc: Cc::Eq,
@@ -519,7 +483,7 @@ impl Specializer {
                             }
                         }
                         let (id_d, store_d) =
-                            self.edge_unit(default, &store, &mut buf, &mut live_regs, rt);
+                            self.edge_unit(default, &store, &mut buf, &mut live_regs, env);
                         if self.em.sealed(id_d) {
                             buf.push(Emitted {
                                 ins: Instr::Jmp { target: 0 },
@@ -566,7 +530,7 @@ impl Specializer {
         }
 
         // Dynamic dead-assignment elimination + append (§2.2.7).
-        self.em.seal_unit(id, buf, live_regs, &costs, &mut rt.stats);
+        self.em.seal_unit(id, buf, live_regs, &costs, env.stats);
         Ok(chain)
     }
 
@@ -580,10 +544,10 @@ impl Specializer {
         store: &Store,
         buf: &mut Vec<Emitted>,
         live_regs: &mut RegSet,
-        rt: &mut Runtime,
+        env: &mut SpecEnv<'_>,
     ) -> (u32, Store) {
-        rt.stats.runtime_bta_calls += store.len() as u64;
-        self.em.exec_cycles += rt.costs.edge_plan_per_var * store.len() as u64;
+        env.stats.runtime_bta_calls += store.len() as u64;
+        self.em.exec_cycles += env.costs.edge_plan_per_var * store.len() as u64;
         let live_in = self.live.live_in[target.index()].clone();
         let mut out = Store::new();
         for (v, val) in store {
@@ -633,9 +597,7 @@ impl Specializer {
             }
         }
         let id = self.unit_id(target, 0, &out);
-        if let Some(from) = self.cur_unit {
-            self.unit_edges.push((from, id));
-        }
+        self.shape.edge(id);
         (id, out)
     }
 
@@ -647,9 +609,9 @@ impl Specializer {
         store: &Store,
         buf: &mut Vec<Emitted>,
         live_regs: &mut RegSet,
-        rt: &mut Runtime,
+        env: &mut SpecEnv<'_>,
     ) -> Option<(u32, Store)> {
-        let (id, st) = self.edge_unit(target, store, buf, live_regs, rt);
+        let (id, st) = self.edge_unit(target, store, buf, live_regs, env);
         if self.em.sealed(id) {
             buf.push(Emitted {
                 ins: Instr::Jmp { target: 0 },
@@ -663,56 +625,6 @@ impl Specializer {
         } else {
             Some((id, st))
         }
-    }
-
-    /// Classify an unrolled loop as multi-way: some unit of the loop body
-    /// can reach two or more distinct header units (a tree, like binary
-    /// search), or a header unit is entered from two places (a graph,
-    /// like an interpreted guest loop).
-    fn loop_is_multiway(&self, header: BlockId, units: &HashSet<u32>) -> bool {
-        let Some(l) = self.loops.iter().find(|l| l.header == header) else {
-            return false;
-        };
-        // Adjacency restricted to units whose blocks are in the loop body.
-        let mut succs: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut in_deg: HashMap<u32, u32> = HashMap::new();
-        for (from, to) in &self.unit_edges {
-            if !l.body.contains(&self.block_of(*from)) {
-                continue;
-            }
-            if units.contains(to) {
-                *in_deg.entry(*to).or_insert(0) += 1;
-            }
-            succs.entry(*from).or_default().push(*to);
-        }
-        if in_deg.values().any(|d| *d >= 2) {
-            return true;
-        }
-        // From each header unit, walk the body without passing through
-        // other header units; reaching two of them means divergence.
-        for k in units {
-            let mut reached: HashSet<u32> = HashSet::new();
-            let mut seen: HashSet<u32> = HashSet::new();
-            let mut stack: Vec<u32> = vec![*k];
-            while let Some(u) = stack.pop() {
-                for v in succs.get(&u).map(Vec::as_slice).unwrap_or(&[]) {
-                    if !l.body.contains(&self.block_of(*v)) {
-                        continue;
-                    }
-                    if units.contains(v) {
-                        reached.insert(*v);
-                        continue;
-                    }
-                    if seen.insert(*v) {
-                        stack.push(*v);
-                    }
-                }
-            }
-            if reached.len() >= 2 {
-                return true;
-            }
-        }
-        false
     }
 }
 

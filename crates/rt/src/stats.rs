@@ -75,9 +75,11 @@ pub struct RtStats {
     /// special case, e.g. a zero/copy fold), falling back to per-
     /// instruction emission for the rest of the unit.
     pub template_fallbacks: u64,
-    /// Heap allocations attributable to dispatch (scratch-buffer growth).
-    /// Zero on every cache-hit region entry once warm: the dispatch path
-    /// reuses its key and argument buffers.
+    /// Heap allocations attributable to dispatch: growth of the reusable
+    /// key and argument buffers, plus one per hashed-lookup miss for the
+    /// key that miss's cache fill stores. Single and threaded sessions
+    /// count the same way. Zero on every cache-hit region entry once
+    /// warm: the dispatch path reuses its key and argument buffers.
     pub dispatch_allocs: u64,
     /// Bounded `cache_all(k)` evictions: specializations dropped by the
     /// second-chance sweep when a site hit its capacity.

@@ -11,7 +11,7 @@
 //! all threads. Steady-state dispatch must also stay allocation-free in
 //! every thread.
 
-use dyc::{CodeFunc, Compiler, MissPolicy, Session, SharedOptions, Value};
+use dyc::{CodeFunc, Compiler, MissPolicy, OptConfig, Session, SharedOptions, Value};
 use dyc_workloads::{all, Workload};
 use std::sync::Arc;
 
@@ -203,10 +203,12 @@ fn traced_threads_match_untraced_oracle_and_stay_allocation_free() {
         let oracle_specs = oracle.rt_stats().unwrap().specializations;
         let oracle_code = normalize(oracle.cached_code());
 
-        let shared = program.shared_runtime_with(SharedOptions {
-            trace: true,
-            ..SharedOptions::default()
-        });
+        let mut traced_cfg = OptConfig::all();
+        traced_cfg.trace = true;
+        let program = Compiler::with_config(traced_cfg)
+            .compile(&w.source())
+            .unwrap_or_else(|e| panic!("{}: compile failed: {e}", meta.name));
+        let shared = program.shared_runtime();
         let threads = n_threads();
         let w = Arc::new(w);
         let handles: Vec<_> = (0..threads)
