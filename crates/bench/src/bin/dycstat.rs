@@ -110,18 +110,10 @@ fn parse_require(args: &[String]) -> Result<Vec<Category>, String> {
     list.split(',')
         .filter(|s| !s.is_empty())
         .map(|s| {
-            [
-                Category::Dispatch,
-                Category::Flight,
-                Category::Spec,
-                Category::Template,
-                Category::Cache,
-                Category::Promote,
-                Category::Policy,
-            ]
-            .into_iter()
-            .find(|c| c.name() == s)
-            .ok_or_else(|| format!("unknown category '{s}'"))
+            Category::ALL
+                .into_iter()
+                .find(|c| c.name() == s)
+                .ok_or_else(|| format!("unknown category '{s}'"))
         })
         .collect()
 }

@@ -591,7 +591,7 @@ pub fn replay_live(cfg: &ServeConfig, live: Option<&LiveHandles>) -> Result<Serv
             .collect::<Result<Vec<_>, String>>()
     })?;
 
-    let mut hist = LatencyHistogram::new();
+    let hist = LatencyHistogram::new();
     let mut wall_ns = 0;
     let mut dispatches = 0;
     for o in &outs {

@@ -144,8 +144,8 @@ impl Session {
     pub fn trace_events(&self) -> Vec<dyc_obs::Event> {
         match &self.exec {
             Exec::Static => Vec::new(),
-            Exec::Single(rt) => rt.trace.events(),
-            Exec::Threaded(rt) => rt.trace.events(),
+            Exec::Single(rt) => rt.trace_events(),
+            Exec::Threaded(rt) => rt.trace_events(),
         }
     }
 
@@ -154,8 +154,8 @@ impl Session {
     pub fn trace_dropped(&self) -> u64 {
         match &self.exec {
             Exec::Static => 0,
-            Exec::Single(rt) => rt.trace.dropped(),
-            Exec::Threaded(rt) => rt.trace.dropped(),
+            Exec::Single(rt) => rt.trace_dropped(),
+            Exec::Threaded(rt) => rt.trace_dropped(),
         }
     }
 

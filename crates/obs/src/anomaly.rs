@@ -24,6 +24,17 @@
 //! windows, then stays latched (no re-fire) until `clear_after`
 //! consecutive clean windows re-arm it — a sustained storm produces
 //! exactly one incident, not one per window.
+//!
+//! A window can also be *inconclusive*: for a share rule, an idle
+//! window (no dispatches, so no share to judge) or one whose share
+//! crosses the threshold while its count stays under the rule's
+//! absolute floor (`evict_min`, `convoy_min`); for the latency spike,
+//! one with fewer than `spike_min_misses` misses, an idle one included.
+//! An inconclusive window neither advances nor clears a latch — a storm
+//! or a spike that stalls for a window under CPU contention stays one
+//! incident. A window is clean only when its measure is below the
+//! rule's threshold. (The break-even rule judges cumulative per-site
+//! averages, which an idle window leaves as they were.)
 
 use crate::sampler::Window;
 use crate::LiveMetric;
@@ -133,6 +144,21 @@ pub struct Anomaly {
     pub detail: String,
 }
 
+/// One window's verdict on one rule: `Some(offending)`, or `None` when
+/// the window is inconclusive and the latch keeps its state.
+type Verdict = Option<bool>;
+
+/// A share rule's verdict: `count` events over `dispatches`, judged
+/// against `share` with the absolute floor `min`, and the share.
+fn share_verdict(count: u64, dispatches: u64, share: f64, min: u64) -> (Verdict, f64) {
+    if dispatches == 0 {
+        return (None, 0.0);
+    }
+    let ratio = count as f64 / dispatches as f64;
+    let offending = ratio >= share;
+    ((!offending || count >= min).then_some(offending), ratio)
+}
+
 /// Per-rule latch state.
 #[derive(Debug, Clone, Copy, Default)]
 struct RuleState {
@@ -147,27 +173,25 @@ struct RuleState {
 impl RuleState {
     /// Advance the latch with one window's verdict; returns true when
     /// the rule fires (transition into latched).
-    fn step(&mut self, offending: bool, cfg: &WatchdogConfig) -> bool {
-        if self.latched {
-            if offending {
-                self.clean = 0;
-            } else {
+    fn step(&mut self, verdict: Verdict, cfg: &WatchdogConfig) -> bool {
+        match (self.latched, verdict) {
+            (_, None) => {}
+            (true, Some(true)) => self.clean = 0,
+            (true, Some(false)) => {
                 self.clean += 1;
                 if self.clean >= cfg.clear_after {
                     *self = RuleState::default();
                 }
             }
-            return false;
-        }
-        if offending {
-            self.over += 1;
-            if self.over >= cfg.trigger_after {
-                self.latched = true;
-                self.clean = 0;
-                return true;
+            (false, Some(true)) => {
+                self.over += 1;
+                if self.over >= cfg.trigger_after {
+                    self.latched = true;
+                    self.clean = 0;
+                    return true;
+                }
             }
-        } else {
-            self.over = 0;
+            (false, Some(false)) => self.over = 0,
         }
         false
     }
@@ -209,12 +233,12 @@ impl Watchdog {
         let mut fired = Vec::new();
         let mut judge = |states: &mut [RuleState],
                          kind: AnomalyKind,
-                         over: bool,
+                         verdict: Verdict,
                          value: f64,
                          threshold: f64,
                          detail: String| {
             let idx = ALL_ANOMALIES.iter().position(|&k| k == kind).unwrap();
-            if states[idx].step(over, &cfg) {
+            if states[idx].step(verdict, &cfg) {
                 fired.push(Anomaly {
                     kind,
                     window: w.index,
@@ -228,15 +252,12 @@ impl Watchdog {
 
         // Eviction storm.
         let evictions = w.get(LiveMetric::Evictions);
-        let evict_ratio = if dispatches == 0 {
-            0.0
-        } else {
-            evictions as f64 / dispatches as f64
-        };
+        let (verdict, evict_ratio) =
+            share_verdict(evictions, dispatches, cfg.evict_share, cfg.evict_min);
         judge(
             &mut self.states,
             AnomalyKind::EvictionStorm,
-            evictions >= cfg.evict_min && evict_ratio >= cfg.evict_share,
+            verdict,
             evict_ratio,
             cfg.evict_share,
             format!("{evictions} evictions over {dispatches} dispatches in one window"),
@@ -244,15 +265,12 @@ impl Watchdog {
 
         // Flight convoy.
         let waits = w.get(LiveMetric::FlightWaits);
-        let wait_ratio = if dispatches == 0 {
-            0.0
-        } else {
-            waits as f64 / dispatches as f64
-        };
+        let (verdict, wait_ratio) =
+            share_verdict(waits, dispatches, cfg.convoy_share, cfg.convoy_min);
         judge(
             &mut self.states,
             AnomalyKind::FlightConvoy,
-            waits >= cfg.convoy_min && wait_ratio >= cfg.convoy_share,
+            verdict,
             wait_ratio,
             cfg.convoy_share,
             format!("{waits} single-flight waits over {dispatches} dispatches in one window"),
@@ -278,7 +296,7 @@ impl Watchdog {
         judge(
             &mut self.states,
             AnomalyKind::BreakEvenRegression,
-            factor >= cfg.break_even_factor,
+            Some(factor >= cfg.break_even_factor),
             factor,
             cfg.break_even_factor,
             format!("site {site} mean spec cycles drifted {factor:.2}x over its baseline"),
@@ -302,7 +320,9 @@ impl Watchdog {
         judge(
             &mut self.states,
             AnomalyKind::SpecLatencySpike,
-            spike,
+            // A window under the miss floor (an idle one included) has
+            // no p99 worth judging.
+            thick.then_some(spike),
             ratio,
             cfg.spike_factor,
             format!("windowed miss p99 {p99} ns is {ratio:.1}x the recent median"),
@@ -397,6 +417,87 @@ mod tests {
             set(w, LiveMetric::Evictions, 8);
         });
         assert!(wd.observe(&w).is_empty());
+    }
+
+    /// A storm that stalls — idle windows, or windows whose eviction
+    /// share stays high while the count drops under `evict_min` — is
+    /// still one storm: those windows neither clear the latch nor break
+    /// the trigger streak.
+    #[test]
+    fn stalled_storm_windows_are_inconclusive() {
+        let mut wd = Watchdog::new(WatchdogConfig {
+            trigger_after: 2,
+            clear_after: 2,
+            ..WatchdogConfig::default()
+        });
+        let stormy = |i| {
+            window(i, |w| {
+                set(w, LiveMetric::Dispatches, 1_000);
+                set(w, LiveMetric::Evictions, 600);
+            })
+        };
+        let idle = |i| window(i, |_| {});
+        let thin = |i| {
+            window(i, |w| {
+                set(w, LiveMetric::Dispatches, 16);
+                set(w, LiveMetric::Evictions, 8);
+            })
+        };
+        let mut fired = 0;
+        for w in [stormy(0), stormy(1), idle(2), idle(3), stormy(4), stormy(5)] {
+            fired += wd.observe(&w).len();
+        }
+        assert_eq!(fired, 1, "storm, two idle windows, storm: one incident");
+        for w in [thin(6), thin(7), stormy(8), stormy(9)] {
+            fired += wd.observe(&w).len();
+        }
+        assert_eq!(fired, 1, "thin windows under the floor cleared the latch");
+        // Unlatched, an idle window does not break a trigger streak.
+        let mut wd = Watchdog::new(WatchdogConfig {
+            trigger_after: 2,
+            ..WatchdogConfig::default()
+        });
+        assert!(wd.observe(&stormy(0)).is_empty());
+        assert!(wd.observe(&idle(1)).is_empty());
+        assert_eq!(wd.observe(&stormy(2)).len(), 1);
+    }
+
+    #[test]
+    fn stalled_spike_windows_are_inconclusive() {
+        let mut wd = Watchdog::new(WatchdogConfig {
+            trigger_after: 1,
+            clear_after: 2,
+            spike_history: 3,
+            spike_min_misses: 100,
+            ..WatchdogConfig::default()
+        });
+        let with_p99 = |i: u64, misses: u64, lat: u64| {
+            window(i, |w| {
+                set(w, LiveMetric::Dispatches, misses * 2);
+                set(w, LiveMetric::Misses, misses);
+                for _ in 0..misses {
+                    w.miss_ns.record(lat);
+                }
+            })
+        };
+        for i in 0..3 {
+            assert!(wd.observe(&with_p99(i, 200, 1_000)).is_empty());
+        }
+        let mut fired = 0;
+        for w in [
+            with_p99(3, 200, 100_000),
+            window(4, |_| {}),
+            with_p99(5, 10, 1_000),
+            with_p99(6, 10, 1_000),
+            with_p99(7, 200, 100_000),
+        ] {
+            fired += wd
+                .observe(&w)
+                .iter()
+                .filter(|a| a.kind == AnomalyKind::SpecLatencySpike)
+                .count();
+        }
+        assert_eq!(fired, 1, "idle and thin windows cleared the spike latch");
     }
 
     #[test]

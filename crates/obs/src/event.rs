@@ -2,8 +2,10 @@
 
 /// What happened. Every variant maps to one [`Category`]; the payload
 /// words `a`/`b` on [`Event`] are kind-specific (documented per
-/// variant).
+/// variant). The discriminant is the kind's index in [`ALL_KINDS`], so
+/// encoding a kind into an event ring is a cast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(u8)]
 pub enum EventKind {
     /// Hashed (`cache_all`/`cache_all(k)`, or indexed-overflow) dispatch
     /// that hit cached code. `a` = dispatch cycles charged, `b` =
@@ -26,10 +28,15 @@ pub enum EventKind {
     /// Concurrent only: this thread, racing an in-flight
     /// specialization, ran the generic continuation instead of waiting.
     FlightFallback,
+    /// Concurrent only: the key was published by another thread between
+    /// this thread's failed probe and its claim, so the miss was served
+    /// from the cache with no specialization, wait or fallback.
+    FlightRace,
     /// A specialization (GE execution) started at this site.
     GeExecBegin,
-    /// The specialization finished. `a` = dynamic-compilation cycles it
-    /// charged, `b` = VM instructions generated.
+    /// The specialization finished and its code is published. `a` =
+    /// dynamic-compilation cycles it charged, `b` = VM instructions
+    /// generated.
     GeExecEnd,
     /// Copy-and-patch templates contributed instructions to a sealed
     /// unit (post dead-assignment elimination, matching
@@ -96,6 +103,17 @@ pub enum Category {
 }
 
 impl Category {
+    /// Every category, in declaration order.
+    pub const ALL: [Category; 7] = [
+        Category::Dispatch,
+        Category::Flight,
+        Category::Spec,
+        Category::Template,
+        Category::Cache,
+        Category::Promote,
+        Category::Policy,
+    ];
+
     /// The category's stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
@@ -122,6 +140,7 @@ impl EventKind {
             EventKind::DispatchIndexed => "dispatch-indexed",
             EventKind::FlightWait => "flight-wait",
             EventKind::FlightFallback => "flight-fallback",
+            EventKind::FlightRace => "flight-race",
             EventKind::GeExecBegin | EventKind::GeExecEnd => "ge-exec",
             EventKind::TemplateCopy => "template-copy",
             EventKind::HolePatch => "hole-patch",
@@ -144,7 +163,9 @@ impl EventKind {
             | EventKind::DispatchMiss
             | EventKind::DispatchUnchecked
             | EventKind::DispatchIndexed => Category::Dispatch,
-            EventKind::FlightWait | EventKind::FlightFallback => Category::Flight,
+            EventKind::FlightWait | EventKind::FlightFallback | EventKind::FlightRace => {
+                Category::Flight
+            }
             EventKind::GeExecBegin
             | EventKind::GeExecEnd
             | EventKind::NativeInstall
@@ -159,10 +180,19 @@ impl EventKind {
             }
         }
     }
+
+    /// True for the three dispatch-hit kinds: the warm path, which an
+    /// event ring records only when tracing is on.
+    pub fn is_hit(self) -> bool {
+        matches!(
+            self,
+            EventKind::DispatchHit | EventKind::DispatchUnchecked | EventKind::DispatchIndexed
+        )
+    }
 }
 
-/// One recorded event: 72 bytes, `Copy`, written into the ring buffer
-/// without any allocation.
+/// One recorded event, as an [`crate::EventRing`] reads it back (the
+/// ring stores it as eight words).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Event {
     /// What happened.
@@ -175,7 +205,7 @@ pub struct Event {
     pub thread: u32,
     /// FNV-1a hash of the cache-key words ([`crate::key_hash`]).
     pub key: u64,
-    /// Strictly increasing per-recorder sequence number.
+    /// Strictly increasing per-ring sequence number.
     pub seq: u64,
     /// Wall nanoseconds since the process trace epoch
     /// ([`crate::now_ns`]).
@@ -190,14 +220,15 @@ pub struct Event {
     pub b: u64,
 }
 
-/// Every kind, in declaration order (test and exporter support).
-pub const ALL_KINDS: [EventKind; 19] = [
+/// Every kind, in declaration order: `ALL_KINDS[k as usize] == k`.
+pub const ALL_KINDS: [EventKind; 20] = [
     EventKind::DispatchHit,
     EventKind::DispatchMiss,
     EventKind::DispatchUnchecked,
     EventKind::DispatchIndexed,
     EventKind::FlightWait,
     EventKind::FlightFallback,
+    EventKind::FlightRace,
     EventKind::GeExecBegin,
     EventKind::GeExecEnd,
     EventKind::TemplateCopy,
@@ -222,21 +253,20 @@ mod tests {
         let mut names: Vec<&str> = ALL_KINDS.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        // 19 kinds, but begin/end share "ge-exec".
+        // Begin/end share "ge-exec".
         assert_eq!(names.len(), ALL_KINDS.len() - 1);
     }
 
     #[test]
+    fn discriminants_index_all_kinds() {
+        for (i, k) in ALL_KINDS.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "{} out of declaration order", k.name());
+        }
+    }
+
+    #[test]
     fn every_category_is_covered() {
-        for c in [
-            Category::Dispatch,
-            Category::Flight,
-            Category::Spec,
-            Category::Template,
-            Category::Cache,
-            Category::Promote,
-            Category::Policy,
-        ] {
+        for c in Category::ALL {
             assert!(
                 ALL_KINDS.iter().any(|k| k.category() == c),
                 "no kind maps to {:?}",

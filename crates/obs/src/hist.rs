@@ -1,18 +1,26 @@
 //! A fixed-footprint log-linear latency histogram.
 //!
 //! The serving harness needs miss-path tail latency (p50/p95/p99) over
-//! runs of 10⁶–10⁸ dispatches. The event ring ([`crate::Recorder`]) holds
-//! only the newest window of a run, so percentiles computed from events
-//! alone silently degrade to "the last few seconds". This histogram is
-//! the complement: every sample lands in one of a fixed set of buckets —
-//! recording is a handful of integer ops and **never allocates**, so the
-//! runtime can fold every miss into it without perturbing the warm path,
-//! and merging per-thread histograms after a run is exact.
+//! runs of 10⁶–10⁸ dispatches. An event ring ([`crate::EventRing`])
+//! holds only the newest window of a run, so percentiles computed from
+//! events alone silently degrade to "the last few seconds". This
+//! histogram is the complement: every sample lands in one of a fixed set
+//! of buckets — recording is four relaxed atomic updates and **never
+//! allocates**, so the runtime can fold every miss into it without
+//! perturbing the warm path, and merging per-thread histograms after a
+//! run is exact.
+//!
+//! There is one histogram type. Its buckets are atomics, so the same
+//! histogram a worker thread records into can be read by the live
+//! sampler mid-run (see [`crate::live`]); a histogram owned by one
+//! thread pays nothing for that but the atomic adds.
 //!
 //! Buckets are log-linear (HdrHistogram-style): values below 2^[`SUB_BITS`]
 //! are exact; above that, each power-of-two octave is split into
 //! 2^[`SUB_BITS`] linear sub-buckets, bounding the relative quantization
 //! error at 1/2^[`SUB_BITS`] (12.5%) across the full `u64` range.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-bucket resolution: each octave splits into `2^SUB_BITS` linear
 /// buckets, so reported quantiles are within `1/2^SUB_BITS` (12.5%) of
@@ -23,15 +31,14 @@ const SUBS: usize = 1 << SUB_BITS;
 /// Bucket count: the exact region (`2^SUB_BITS` buckets) plus
 /// `2^SUB_BITS` buckets for each of the `64 - SUB_BITS` remaining
 /// octaves. Every consumer of the histogram's buckets (the live
-/// sampler's atomic mirror, `dycstat`'s reports) indexes against this
-/// same constant.
+/// sampler, `dycstat`'s reports) indexes against this same constant.
 pub const BUCKET_COUNT: usize = SUBS + (64 - SUB_BITS as usize) * SUBS;
 
 /// The shared bucket-boundary table: `BUCKET_FLOORS[i]` is the lower
 /// bound of the value range bucket `i` covers, i.e.
 /// `bucket_lower_bound(i)` for every index. There is exactly one
-/// bucketing scheme in the workspace — every histogram (mutable or
-/// atomic) and every report quantizes against this table.
+/// bucketing scheme in the workspace — every histogram and every report
+/// quantizes against this table.
 pub const BUCKET_FLOORS: [u64; BUCKET_COUNT] = {
     let mut t = [0u64; BUCKET_COUNT];
     let mut i = 0;
@@ -53,12 +60,22 @@ pub const BUCKET_FLOORS: [u64; BUCKET_COUNT] = {
 /// true value). Values below `2^SUB_BITS`, the maximum, and counts/sums
 /// are exact; only quantiles between are quantized.
 ///
+/// # Concurrency
+///
+/// [`LatencyHistogram::record`] takes `&self`: any thread holding the
+/// histogram (typically through an `Arc`) may record while others read.
+/// A read racing the writers may see the count, sum and max trail the
+/// buckets by the few samples in flight; a copy ([`Clone`],
+/// [`LatencyHistogram::merge`]) counts the buckets it read, so
+/// `count == Σ buckets` holds exactly in the copy. Reads after the
+/// writers quiesce are exact.
+///
 /// # Examples
 ///
 /// ```
 /// use dyc_obs::LatencyHistogram;
 ///
-/// let mut h = LatencyHistogram::new();
+/// let h = LatencyHistogram::new();
 /// for ns in [100, 200, 300, 400, 10_000] {
 ///     h.record(ns);
 /// }
@@ -70,12 +87,21 @@ pub const BUCKET_FLOORS: [u64; BUCKET_COUNT] = {
 /// assert!((263..=300).contains(&p50), "p50 within 12.5% of 300: {p50}");
 /// assert_eq!(h.percentile(99.9), 10_000); // top rank: exact max
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LatencyHistogram {
-    buckets: Box<[u64; BUCKET_COUNT]>,
-    count: u64,
-    sum: u64,
-    max: u64,
+    buckets: Box<[AtomicU64]>,
+    count: AtomicU64,
+    sum: AtomicU64,
+    max: AtomicU64,
+}
+
+impl Clone for LatencyHistogram {
+    /// A point-in-time copy (see the type's concurrency notes).
+    fn clone(&self) -> LatencyHistogram {
+        let h = LatencyHistogram::new();
+        h.merge(self);
+        h
+    }
 }
 
 impl Default for LatencyHistogram {
@@ -113,99 +139,87 @@ impl LatencyHistogram {
     /// again.
     pub fn new() -> LatencyHistogram {
         LatencyHistogram {
-            buckets: Box::new([0; BUCKET_COUNT]),
-            count: 0,
-            sum: 0,
-            max: 0,
+            buckets: (0..BUCKET_COUNT).map(|_| AtomicU64::new(0)).collect(),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
-    /// Rebuild a histogram from raw parts — the bridge from the live
-    /// layer's atomic bucket mirror, which shares [`BUCKET_FLOORS`].
-    /// The count is recomputed from the buckets so the
-    /// `count == Σ buckets` identity holds by construction even if the
-    /// caller read its totals racily.
-    pub(crate) fn from_parts(
-        buckets: Box<[u64; BUCKET_COUNT]>,
-        sum: u64,
-        max: u64,
-    ) -> LatencyHistogram {
-        let count = buckets.iter().sum();
-        LatencyHistogram {
-            buckets,
-            count,
-            sum,
-            max,
-        }
+    fn bucket(&self, i: usize) -> u64 {
+        self.buckets[i].load(Ordering::Relaxed)
     }
 
-    /// Fold one sample in: two shifts, a mask, three adds. No
-    /// allocation, no branches on the histogram's state.
+    /// Fold one sample in: one bucket increment plus the count, sum and
+    /// max updates, all relaxed. No allocation, no lock.
     #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
+    pub fn record(&self, v: u64) {
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Fold another histogram's samples into this one (exact — buckets
     /// are positionally identical).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+    pub fn merge(&self, other: &LatencyHistogram) {
+        let mut n = 0;
+        for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
+            let b = b.load(Ordering::Relaxed);
+            a.fetch_add(b, Ordering::Relaxed);
+            n += b;
         }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(other.sum(), Ordering::Relaxed);
+        self.max.fetch_max(other.max(), Ordering::Relaxed);
     }
 
     /// The windowed delta `self − earlier`: the samples recorded between
-    /// two cumulative snapshots of the same histogram. Buckets, count,
-    /// and sum subtract (saturating, so racy snapshot pairs degrade to
-    /// empty buckets rather than wrapping); the `max` is carried over
-    /// from `self` because only the cumulative maximum is tracked —
-    /// window quantiles stay exact, the window max is an upper bound.
+    /// two cumulative snapshots of the same histogram. Buckets and sum
+    /// subtract (saturating, so racy snapshot pairs degrade to empty
+    /// buckets rather than wrapping); the `max` is carried over from
+    /// `self` because only the cumulative maximum is tracked — window
+    /// quantiles stay exact, the window max is an upper bound.
     pub fn diff(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
-        let mut buckets = Box::new([0u64; BUCKET_COUNT]);
-        for (i, d) in buckets.iter_mut().enumerate() {
-            *d = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        let count = buckets.iter().sum();
+        let buckets: Box<[AtomicU64]> = (0..BUCKET_COUNT)
+            .map(|i| AtomicU64::new(self.bucket(i).saturating_sub(earlier.bucket(i))))
+            .collect();
         LatencyHistogram {
+            count: AtomicU64::new(buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()),
             buckets,
-            count,
-            sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
+            sum: AtomicU64::new(self.sum().saturating_sub(earlier.sum())),
+            max: AtomicU64::new(self.max()),
         }
     }
 
     /// Samples recorded.
+    #[inline]
     pub fn count(&self) -> u64 {
-        self.count
+        self.count.load(Ordering::Relaxed)
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.count() == 0
     }
 
-    /// Sum of all samples (saturating).
+    /// Sum of all samples.
+    #[inline]
     pub fn sum(&self) -> u64 {
-        self.sum
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// Largest sample seen (exact, not quantized).
+    #[inline]
     pub fn max(&self) -> u64 {
-        self.max
+        self.max.load(Ordering::Relaxed)
     }
 
     /// Mean sample (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+        match self.count() {
+            0 => 0.0,
+            n => self.sum() as f64 / n as f64,
         }
     }
 
@@ -214,26 +228,28 @@ impl LatencyHistogram {
     /// true value). Returns 0 for an empty histogram; `p` is clamped to
     /// `[0, 100]`.
     pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return 0;
         }
-        let rank = ((p.clamp(0.0, 100.0) / 100.0) * self.count as f64).ceil() as u64;
+        let rank = ((p.clamp(0.0, 100.0) / 100.0) * count as f64).ceil() as u64;
         let rank = rank.max(1);
-        if rank >= self.count {
+        let max = self.max();
+        if rank >= count {
             // The highest-ranked sample is the max, which is tracked
             // exactly — skip the bucket walk and its quantization.
-            return self.max;
+            return max;
         }
         let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+        for (i, floor) in BUCKET_FLOORS.iter().enumerate() {
+            seen += self.bucket(i);
             if seen >= rank {
                 // The max is tracked exactly; never report a quantile
                 // above it.
-                return BUCKET_FLOORS[i].min(self.max);
+                return (*floor).min(max);
             }
         }
-        self.max
+        max
     }
 
     /// Convenience tuple: (p50, p95, p99, max).
@@ -242,7 +258,7 @@ impl LatencyHistogram {
             self.percentile(50.0),
             self.percentile(95.0),
             self.percentile(99.0),
-            self.max,
+            self.max(),
         )
     }
 }
@@ -253,7 +269,7 @@ mod tests {
 
     #[test]
     fn small_values_are_exact() {
-        let mut h = LatencyHistogram::new();
+        let h = LatencyHistogram::new();
         for v in 0..8u64 {
             h.record(v);
         }
@@ -307,7 +323,7 @@ mod tests {
 
     #[test]
     fn diff_recovers_a_window_between_snapshots() {
-        let mut cum = LatencyHistogram::new();
+        let cum = LatencyHistogram::new();
         for v in [10u64, 20, 30] {
             cum.record(v);
         }
@@ -327,19 +343,37 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_recomputes_count_from_buckets() {
-        let mut buckets = Box::new([0u64; BUCKET_COUNT]);
-        buckets[bucket_index(100)] = 3;
-        buckets[bucket_index(9_999)] = 1;
-        let h = LatencyHistogram::from_parts(buckets, 10_299, 9_999);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), 9_999);
-        assert_eq!(h.percentile(100.0), 9_999);
+    fn threads_record_into_one_shared_histogram() {
+        let h = std::sync::Arc::new(LatencyHistogram::new());
+        let workers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let h = std::sync::Arc::clone(&h);
+                std::thread::spawn(move || {
+                    for i in 0..1_000u64 {
+                        h.record(t * 1_000_000 + i);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let seq = LatencyHistogram::new();
+        for t in 0..2u64 {
+            for i in 0..1_000u64 {
+                seq.record(t * 1_000_000 + i);
+            }
+        }
+        assert_eq!(h.count(), 2_000);
+        assert_eq!((h.sum(), h.max()), (seq.sum(), seq.max()));
+        for p in [10.0, 50.0, 90.0, 99.0] {
+            assert_eq!(h.percentile(p), seq.percentile(p));
+        }
     }
 
     #[test]
     fn percentiles_order_and_clamp_to_max() {
-        let mut h = LatencyHistogram::new();
+        let h = LatencyHistogram::new();
         for i in 1..=1000u64 {
             h.record(i * 100);
         }
@@ -354,9 +388,9 @@ mod tests {
 
     #[test]
     fn merge_equals_recording_everything_in_one() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut all = LatencyHistogram::new();
+        let a = LatencyHistogram::new();
+        let b = LatencyHistogram::new();
+        let all = LatencyHistogram::new();
         for i in 0..500u64 {
             let v = i * 37 % 10_000;
             if i % 2 == 0 {

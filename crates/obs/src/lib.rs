@@ -12,28 +12,34 @@
 //!   GE-exec begin/end, template copy + hole patch, cache
 //!   eviction/invalidation, internal promotion. Each is tagged with
 //!   (site, key hash, thread, wall nanos, model-cycle stamp).
-//! * [`Recorder`]/[`Trace`] — a per-thread fixed-capacity ring buffer.
-//!   No locks, no heap allocation on the record path, and a no-op (one
-//!   branch on a `None`) when tracing is off.
+//! * [`EventRing`] — a thread's one fixed-capacity event ring, written
+//!   by that thread alone and readable by any: no locks, no heap
+//!   allocation on the record path. It is the thread's trace (a traced
+//!   run reads it afterwards, hits included) and its flight-recorder
+//!   buffer (the [`FlightRecorder`] captures its tail mid-run). A thread
+//!   with neither has no ring, and recording is one branch on a `None`.
 //! * [`SiteProfile`]/[`site_profiles`] — the aggregation pass: per-site
 //!   specializations, cached variants, cumulative dyncomp/dispatch
 //!   cycles, probe rates, and the §4.2 break-even estimate
 //!   (dyncomp cycles ÷ cycles saved per use).
-//! * [`LatencyHistogram`] — a fixed-footprint log-linear histogram for
-//!   whole-run tail latency (p50/p95/p99) where the ring would have
-//!   dropped all but the newest window; [`miss_latency`] rebuilds one
-//!   from a recorded event stream.
+//! * [`LatencyHistogram`] — the one histogram type: fixed-footprint,
+//!   log-linear, atomic buckets, for whole-run tail latency
+//!   (p50/p95/p99) where the ring would have dropped all but the newest
+//!   window. A runtime records each miss into one, which the live
+//!   sampler reads mid-run; [`miss_latency`] rebuilds one from a
+//!   recorded event stream.
 //! * [`chrome_trace`]/[`parse_chrome_trace`] — Chrome `trace_event`
 //!   JSON, loadable in `chrome://tracing` or Perfetto, with enough
 //!   metadata embedded to rebuild the profiles from the file alone.
 //! * [`render_metrics`] — Prometheus-style text exposition of any set
 //!   of named meters.
 //! * [`LiveRegistry`]/[`Sampler`]/[`Watchdog`] — the live-telemetry
-//!   layer: per-thread sharded atomic counters and histograms that can
-//!   be snapshotted while workers keep dispatching, a sampler thread
-//!   folding snapshots into a bounded ring of windowed deltas, and an
-//!   anomaly watchdog that dumps the flight recorder (every thread's
-//!   event-ring tail) as a Chrome trace + JSON incident on trigger.
+//!   layer: per-thread sharded atomic counters and the threads' miss
+//!   histograms, snapshotted while workers keep dispatching, a sampler
+//!   thread folding snapshots into a bounded ring of windowed deltas,
+//!   and an anomaly watchdog that dumps the flight recorder (every
+//!   thread's event-ring tail) as a Chrome trace + JSON incident on
+//!   trigger.
 //!
 //! The crate is dependency-free in both directions (it depends on
 //! nothing and knows nothing about the runtime), so `dyc-rt` can record
@@ -50,7 +56,7 @@ pub mod json;
 pub mod live;
 pub mod profile;
 pub mod prom;
-pub mod recorder;
+pub mod ring;
 pub mod sampler;
 
 pub use anomaly::{Anomaly, AnomalyKind, Watchdog, WatchdogConfig, ALL_ANOMALIES};
@@ -60,12 +66,12 @@ pub use event::{Category, Event, EventKind};
 pub use hist::LatencyHistogram;
 pub use json::Json;
 pub use live::{
-    AtomicHistogram, FlightRecorder, FlightRing, LiveHandles, LiveMetric, LiveRegistry, LiveSlot,
-    LiveSnapshot, LiveThread, SiteCost, LIVE_METRICS, N_LIVE_METRICS,
+    FlightRecorder, LiveHandles, LiveMetric, LiveRegistry, LiveSlot, LiveSnapshot, LiveThread,
+    SiteCost, LIVE_METRICS, N_LIVE_METRICS,
 };
 pub use profile::{contention, miss_latency, site_profiles, SiteProfile, ThreadLoad};
 pub use prom::{render_metrics, Metric, MetricKind};
-pub use recorder::{merge, Recorder, Trace, DEFAULT_CAPACITY};
+pub use ring::{merge, EventRing, DEFAULT_CAPACITY};
 pub use sampler::{IncidentRecord, Sampler, SamplerConfig, SamplerView, SiteWindow, Window};
 
 use std::sync::OnceLock;

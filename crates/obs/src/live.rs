@@ -1,13 +1,18 @@
-//! Live telemetry: snapshot-while-running counters, an atomic mirror of
-//! the latency histogram, and the cross-thread-readable flight-recorder
-//! rings.
+//! Live telemetry: snapshot-while-running counters, the shared miss
+//! latency histograms and the flight recorder.
 //!
-//! The event ring ([`crate::Recorder`]) and the runtime's meters are
-//! harvested *after* a run; a long-running server is a black box while
-//! it serves. This module is the live complement: every serving thread
-//! registers one cache-line-aligned [`LiveSlot`] of relaxed atomics in
-//! a shared [`LiveRegistry`], and any other thread can take a coherent
-//! [`LiveSnapshot`] at any time without stopping the workers.
+//! A runtime's meters are harvested *after* a run; a long-running
+//! server is a black box while it serves. This module is the live
+//! complement: every serving thread registers one cache-line-aligned
+//! [`LiveSlot`] of relaxed atomics in a shared [`LiveRegistry`], and any
+//! other thread can take a coherent [`LiveSnapshot`] at any time without
+//! stopping the workers.
+//!
+//! Nothing here is a second copy of a runtime fact. A slot's miss
+//! histogram is the one [`LatencyHistogram`] the runtime records each
+//! miss into (shared through an `Arc`), and the [`FlightRecorder`] holds
+//! the threads' own [`EventRing`]s — the same rings a traced run reads
+//! its trace from — and captures their tails on an incident.
 //!
 //! # Observer-effect-free obligations
 //!
@@ -28,9 +33,10 @@
 //!   of dispatches in flight during the read — statistically coherent,
 //!   never torn. Final snapshots taken after workers quiesce are exact.
 
-use crate::event::{Event, EventKind, ALL_KINDS};
-use crate::hist::{bucket_index, LatencyHistogram, BUCKET_COUNT};
+use crate::event::Event;
+use crate::hist::LatencyHistogram;
 use crate::now_ns;
+use crate::ring::{merge, EventRing};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -103,60 +109,6 @@ impl LiveMetric {
     }
 }
 
-/// An atomic mirror of [`LatencyHistogram`] sharing the same
-/// log-linear bucket table ([`crate::hist::BUCKET_FLOORS`]), so a
-/// sampler can read miss-path percentiles while workers keep
-/// recording. Recording is one relaxed `fetch_add` per field — no
-/// locks, no allocation.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    buckets: Box<[AtomicU64]>,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> AtomicHistogram {
-        AtomicHistogram::new()
-    }
-}
-
-impl AtomicHistogram {
-    /// An empty histogram (one allocation, ~4 KB, never grows).
-    pub fn new() -> AtomicHistogram {
-        AtomicHistogram {
-            buckets: (0..BUCKET_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Fold one sample in (relaxed; allocation-free).
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy as a plain [`LatencyHistogram`]. The count
-    /// is recomputed from the bucket reads, so `count == Σ buckets`
-    /// holds exactly even while workers record concurrently; sum and
-    /// max are read separately and may trail the buckets by the few
-    /// samples in flight (documented as statistically coherent).
-    pub fn snapshot(&self) -> LatencyHistogram {
-        let mut buckets = Box::new([0u64; BUCKET_COUNT]);
-        for (d, s) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *d = s.load(Ordering::Relaxed);
-        }
-        LatencyHistogram::from_parts(
-            buckets,
-            self.sum.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// One thread's private live counters. Each slot is its own `Arc`
 /// allocation and is aligned to 128 bytes, so no two threads' warm-path
 /// counters ever share a cache line (no false sharing between workers;
@@ -165,7 +117,9 @@ impl AtomicHistogram {
 #[repr(align(128))]
 pub struct LiveSlot {
     counters: [AtomicU64; N_LIVE_METRICS],
-    miss_ns: AtomicHistogram,
+    /// The thread's miss-path latency histogram: the runtime records
+    /// into this same `Arc`, so each miss is recorded once.
+    pub miss_ns: Arc<LatencyHistogram>,
 }
 
 impl Default for LiveSlot {
@@ -179,7 +133,7 @@ impl LiveSlot {
     pub fn new() -> LiveSlot {
         LiveSlot {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            miss_ns: AtomicHistogram::new(),
+            miss_ns: Arc::new(LatencyHistogram::new()),
         }
     }
 
@@ -187,12 +141,6 @@ impl LiveSlot {
     #[inline]
     pub fn add(&self, m: LiveMetric, n: u64) {
         self.counters[m as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one miss-path wall-clock sample.
-    #[inline]
-    pub fn record_miss_ns(&self, ns: u64) {
-        self.miss_ns.record(ns);
     }
 
     /// Current value of one counter.
@@ -288,12 +236,12 @@ impl LiveRegistry {
     pub fn snapshot(&self) -> LiveSnapshot {
         let slots = self.slots.read().unwrap();
         let mut counters = [0u64; N_LIVE_METRICS];
-        let mut miss_ns = LatencyHistogram::new();
+        let miss_ns = LatencyHistogram::new();
         for slot in slots.iter() {
             for (i, c) in counters.iter_mut().enumerate() {
                 *c += slot.counters[i].load(Ordering::Relaxed);
             }
-            miss_ns.merge(&slot.miss_ns.snapshot());
+            miss_ns.merge(&slot.miss_ns);
         }
         let threads = slots.len();
         drop(slots);
@@ -344,129 +292,37 @@ impl LiveSnapshot {
     }
 }
 
-/// Words one flight-ring slot occupies (one encoded [`Event`]).
-const EVENT_WORDS: usize = 8;
-
-/// A cross-thread-readable event ring: the flight recorder's per-thread
-/// buffer. Unlike [`crate::Recorder`] (which is `&mut`-owned by its
-/// thread and unreadable until the run ends), this ring is written with
-/// relaxed atomic stores and a `Release` head bump, so the watchdog can
-/// capture its tail mid-run.
-///
-/// Single writer per ring (its owning thread); any number of readers.
-/// A reader racing the writer may observe a slot mid-overwrite (torn
-/// between two events); such slots are detected by an out-of-range
-/// kind index or skipped as a benign mixed payload — the capture is a
-/// diagnostic tail, not an exact log, and tearing affects at most the
-/// oldest slot of a full ring.
-#[derive(Debug)]
-pub struct FlightRing {
-    slots: Box<[AtomicU64]>,
-    head: AtomicU64,
-    cap: usize,
-    thread: u32,
-}
-
-fn kind_code(kind: EventKind) -> u64 {
-    // O(|ALL_KINDS|) scan — miss-path-only, never on the warm path.
-    ALL_KINDS.iter().position(|&k| k == kind).unwrap_or(0) as u64
-}
-
-impl FlightRing {
-    fn new(cap: usize, thread: u32) -> FlightRing {
-        let cap = cap.max(16);
-        FlightRing {
-            slots: (0..cap * EVENT_WORDS).map(|_| AtomicU64::new(0)).collect(),
-            head: AtomicU64::new(0),
-            cap,
-            thread,
-        }
-    }
-
-    /// Record one event: eight relaxed stores plus a `Release` head
-    /// bump. Allocation-free; overwrites the oldest slot when full.
-    #[inline]
-    pub fn record(&self, kind: EventKind, site: u32, key: u64, cycle: u64, a: u64, b: u64) {
-        let h = self.head.load(Ordering::Relaxed);
-        let base = (h as usize % self.cap) * EVENT_WORDS;
-        let s = &self.slots;
-        s[base].store(kind_code(kind), Ordering::Relaxed);
-        s[base + 1].store(u64::from(site), Ordering::Relaxed);
-        s[base + 2].store(key, Ordering::Relaxed);
-        s[base + 3].store(h, Ordering::Relaxed);
-        s[base + 4].store(now_ns(), Ordering::Relaxed);
-        s[base + 5].store(cycle, Ordering::Relaxed);
-        s[base + 6].store(a, Ordering::Relaxed);
-        s[base + 7].store(b, Ordering::Relaxed);
-        self.head.store(h + 1, Ordering::Release);
-    }
-
-    /// The resident tail, oldest first. Slots whose kind word is out of
-    /// range (a torn read racing the writer) are skipped.
-    pub fn tail(&self) -> Vec<Event> {
-        let h = self.head.load(Ordering::Acquire);
-        let n = (h as usize).min(self.cap);
-        let mut out = Vec::with_capacity(n);
-        for i in (h - n as u64)..h {
-            let base = (i as usize % self.cap) * EVENT_WORDS;
-            let s = &self.slots;
-            let code = s[base].load(Ordering::Relaxed) as usize;
-            let Some(&kind) = ALL_KINDS.get(code) else {
-                continue;
-            };
-            out.push(Event {
-                kind,
-                site: s[base + 1].load(Ordering::Relaxed) as u32,
-                thread: self.thread,
-                key: s[base + 2].load(Ordering::Relaxed),
-                seq: s[base + 3].load(Ordering::Relaxed),
-                t_ns: s[base + 4].load(Ordering::Relaxed),
-                cycle: s[base + 5].load(Ordering::Relaxed),
-                a: s[base + 6].load(Ordering::Relaxed),
-                b: s[base + 7].load(Ordering::Relaxed),
-            });
-        }
-        out
-    }
-
-    /// Events ever recorded into this ring.
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-}
-
-/// The flight recorder: one [`FlightRing`] per registered thread,
-/// capturable as a merged timeline at any moment. Only *miss-path*
-/// events are ringed (dispatch misses, flight waits/fallbacks, GE-exec
-/// spans, evictions, policy decisions, native installs) — hits are
-/// metered in [`LiveSlot`] counters, so the warm path never touches
-/// the ring.
+/// The flight recorder: every registered thread's [`EventRing`],
+/// capturable as a merged timeline at any moment. A thread registers
+/// the one ring it records into: an untraced thread's ring holds only
+/// miss-path events (dispatch misses, flight waits/fallbacks/races,
+/// GE-exec spans and what happens inside them, evictions, policy
+/// decisions, native installs) — hits are metered in [`LiveSlot`]
+/// counters, so the warm path never touches the ring; a traced
+/// thread's ring also holds its hits.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    rings: RwLock<Vec<Arc<FlightRing>>>,
+    rings: RwLock<Vec<Arc<EventRing>>>,
     cap: usize,
 }
 
 impl FlightRecorder {
-    /// A recorder whose per-thread rings hold `cap` events each
-    /// (minimum 16).
+    /// A recorder for rings of `cap` events each (minimum 16).
     pub fn new(cap: usize) -> FlightRecorder {
         FlightRecorder {
             rings: RwLock::new(Vec::new()),
-            cap,
+            cap: cap.max(16),
         }
     }
 
+    /// The capacity an untraced thread's ring should have.
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
     /// Register one thread's ring (cold path).
-    pub fn register(&self, thread: u32) -> Arc<FlightRing> {
-        let ring = Arc::new(FlightRing::new(self.cap, thread));
-        self.rings.write().unwrap().push(Arc::clone(&ring));
-        ring
+    pub fn register(&self, ring: Arc<EventRing>) {
+        self.rings.write().unwrap().push(ring);
     }
 
     /// Capture the tail of every thread's ring as one merged timeline
@@ -474,7 +330,7 @@ impl FlightRecorder {
     /// event stream.
     pub fn capture(&self) -> Vec<Event> {
         let rings = self.rings.read().unwrap();
-        crate::recorder::merge(rings.iter().map(|r| r.tail()).collect())
+        merge(rings.iter().map(|r| r.events()).collect())
     }
 }
 
@@ -505,33 +361,31 @@ impl LiveHandles {
         }
     }
 
-    /// Wire up one worker thread: register its counter slot and (when
-    /// the flight recorder is on) its event ring.
-    pub fn thread(&self, tid: u32) -> LiveThread {
+    /// Wire up one worker thread's counters: register its slot. Its
+    /// event ring, when the flight recorder is armed, is registered
+    /// with [`FlightRecorder::register`] by the runtime that owns it.
+    pub fn thread(&self) -> LiveThread {
         LiveThread {
             slot: self.registry.register_thread(),
             registry: Arc::clone(&self.registry),
-            ring: self.flight.as_ref().map(|f| f.register(tid)),
         }
     }
 }
 
-/// One worker thread's live-telemetry wiring: its private counter
-/// slot, the registry (for per-site spec-cost attribution), and its
-/// flight ring when the recorder is armed.
+/// One worker thread's live-telemetry wiring: its private counter slot
+/// and the registry (for per-site spec-cost attribution).
 #[derive(Debug, Clone)]
 pub struct LiveThread {
     /// The thread's private padded counter slot.
     pub slot: Arc<LiveSlot>,
     /// The shared registry ([`LiveRegistry::note_spec`] target).
     pub registry: Arc<LiveRegistry>,
-    /// The thread's flight ring, if incident capture is armed.
-    pub ring: Option<Arc<FlightRing>>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EventKind;
     use std::sync::atomic::AtomicBool;
 
     #[test]
@@ -565,11 +419,11 @@ mod tests {
         a.add(LiveMetric::Dispatches, 10);
         a.add(LiveMetric::Hits, 7);
         a.add(LiveMetric::Misses, 3);
-        a.record_miss_ns(1_000);
+        a.miss_ns.record(1_000);
         b.add(LiveMetric::Dispatches, 5);
         b.add(LiveMetric::Hits, 5);
-        b.record_miss_ns(2_000);
-        b.record_miss_ns(3_000);
+        b.miss_ns.record(2_000);
+        b.miss_ns.record(3_000);
         reg.note_spec(2, 700);
         reg.note_spec(2, 300);
         reg.note_spec(0, 50);
@@ -587,58 +441,16 @@ mod tests {
     }
 
     #[test]
-    fn atomic_histogram_snapshot_matches_mutable_recording() {
-        let ah = AtomicHistogram::new();
-        let mut h = LatencyHistogram::new();
-        for v in [0u64, 5, 90, 1_234, 999_999] {
-            ah.record(v);
-            h.record(v);
-        }
-        let snap = ah.snapshot();
-        assert_eq!(snap.count(), h.count());
-        assert_eq!(snap.sum(), h.sum());
-        assert_eq!(snap.max(), h.max());
-        for p in [50.0, 95.0, 99.0] {
-            assert_eq!(snap.percentile(p), h.percentile(p));
-        }
-    }
-
-    #[test]
-    fn flight_ring_tail_keeps_the_newest_events_in_order() {
-        let ring = FlightRing::new(16, 3);
-        for i in 0..40u64 {
-            ring.record(EventKind::DispatchMiss, i as u32, i, i * 10, i, 0);
-        }
-        let tail = ring.tail();
-        assert_eq!(tail.len(), 16);
-        assert_eq!(ring.recorded(), 40);
-        for (j, e) in tail.iter().enumerate() {
-            assert_eq!(e.seq, 24 + j as u64, "tail not the newest window");
-            assert_eq!(e.site, 24 + j as u32);
-            assert_eq!(e.thread, 3);
-            assert_eq!(e.kind, EventKind::DispatchMiss);
-        }
-    }
-
-    #[test]
-    fn flight_ring_round_trips_every_kind() {
-        let ring = FlightRing::new(64, 0);
-        for (i, kind) in ALL_KINDS.into_iter().enumerate() {
-            ring.record(kind, i as u32, i as u64, 0, 7, 9);
-        }
-        let tail = ring.tail();
-        assert_eq!(tail.len(), ALL_KINDS.len());
-        for (i, e) in tail.iter().enumerate() {
-            assert_eq!(e.kind, ALL_KINDS[i]);
-            assert_eq!((e.a, e.b), (7, 9));
-        }
-    }
-
-    #[test]
     fn recorder_capture_merges_rings_while_writers_run() {
         let rec = Arc::new(FlightRecorder::new(1024));
         let stop = Arc::new(AtomicBool::new(false));
-        let rings: Vec<_> = (0..2u32).map(|t| rec.register(t)).collect();
+        let rings: Vec<_> = (0..2u32)
+            .map(|t| {
+                let ring = Arc::new(EventRing::new(1024, t));
+                rec.register(Arc::clone(&ring));
+                ring
+            })
+            .collect();
         let writers: Vec<_> = rings
             .iter()
             .map(|ring| {

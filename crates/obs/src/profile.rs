@@ -57,6 +57,9 @@ pub struct SiteProfile {
     pub wait_ns: u64,
     /// Single-flight generic-continuation fallbacks (concurrent runs).
     pub fallbacks: u64,
+    /// Misses served by a key another thread published between the
+    /// probe and the claim (concurrent runs).
+    pub races: u64,
     /// Specializations additionally installed as native x86-64 machine
     /// code at this site.
     pub native_installs: u64,
@@ -163,6 +166,7 @@ pub fn site_profiles(events: &[Event]) -> Vec<SiteProfile> {
                 p.wait_ns += e.a;
             }
             EventKind::FlightFallback => p.fallbacks += 1,
+            EventKind::FlightRace => p.races += 1,
             EventKind::GeExecBegin => p.specializations += 1,
             EventKind::GeExecEnd => {
                 p.dyncomp_cycles += e.a;
@@ -244,14 +248,14 @@ pub fn contention(events: &[Event]) -> Vec<ThreadLoad> {
 /// payload). Together these are the two ways a dispatch miss stalls a
 /// serving thread.
 ///
-/// Note the ring-buffer caveat: a [`crate::Recorder`] keeps only the
+/// Note the ring-buffer caveat: an [`crate::EventRing`] keeps only the
 /// newest [`crate::DEFAULT_CAPACITY`] events, so on long runs this
 /// histogram covers the trailing window. The serving harness instead
 /// uses the runtime's always-on per-thread histogram for whole-run
 /// percentiles; this aggregation is `dycstat`'s view over a recorded
 /// trace.
 pub fn miss_latency(events: &[Event]) -> LatencyHistogram {
-    let mut h = LatencyHistogram::new();
+    let h = LatencyHistogram::new();
     // Per-thread stacks of open GeExecBegin timestamps (promotion can
     // nest a specialization inside a specialization on one thread).
     let mut open: Vec<(u32, Vec<u64>)> = Vec::new();

@@ -492,7 +492,7 @@ fn build_incident(shared: &Shared, anomaly: Anomaly, w: &Window) -> IncidentReco
 mod tests {
     use super::*;
     use crate::live::LiveHandles;
-    use crate::EventKind;
+    use crate::{EventKind, EventRing};
 
     #[test]
     fn window_between_computes_deltas_and_rates() {
@@ -501,7 +501,7 @@ mod tests {
         slot.add(LiveMetric::Dispatches, 100);
         slot.add(LiveMetric::Hits, 90);
         slot.add(LiveMetric::Misses, 10);
-        slot.record_miss_ns(1_000);
+        slot.miss_ns.record(1_000);
         reg.note_spec(0, 800);
         let a = reg.snapshot();
         slot.add(LiveMetric::Dispatches, 50);
@@ -591,7 +591,9 @@ mod tests {
     #[test]
     fn watchdog_trigger_dumps_an_incident_with_flight_capture() {
         let handles = LiveHandles::with_flight(256);
-        let live = handles.thread(0);
+        let live = handles.thread();
+        let ring = Arc::new(EventRing::new(256, 0));
+        handles.flight.as_ref().unwrap().register(Arc::clone(&ring));
         let sampler = Sampler::spawn(
             Arc::clone(&handles.registry),
             handles.flight.clone(),
@@ -611,7 +613,6 @@ mod tests {
         live.slot.add(LiveMetric::Dispatches, 100);
         live.slot.add(LiveMetric::Misses, 50);
         live.slot.add(LiveMetric::Evictions, 50);
-        let ring = live.ring.as_ref().unwrap();
         for i in 0..20 {
             ring.record(EventKind::CacheEvict, 0, i, 0, 0, 0);
         }
@@ -651,7 +652,7 @@ mod tests {
         slot.add(LiveMetric::Dispatches, 42);
         slot.add(LiveMetric::Hits, 40);
         slot.add(LiveMetric::Misses, 2);
-        slot.record_miss_ns(5_000);
+        slot.miss_ns.record(5_000);
         handles.registry.note_spec(1, 900);
         let view = sampler.view();
         let _ = sampler.stop();

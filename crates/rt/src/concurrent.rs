@@ -69,11 +69,11 @@
 
 use crate::artifact::{self, BundleCheck, CacheBundle};
 use crate::cache::{DoubleHashCache, EvictCtl, Probed};
-use crate::dispatch::{CacheBackend, Claim, DispatchCore, Lane, Meter, Probe};
+use crate::dispatch::{CacheBackend, Claim, DispatchCore, Lane, Probe};
 use crate::ge_exec::SpecHost;
 use crate::policy::PolicyEngine;
 use crate::runtime::{cap_growth, generic_code, Site};
-use dyc_obs::{now_ns, LatencyHistogram, LiveHandles};
+use dyc_obs::{now_ns, EventKind, LatencyHistogram, LiveHandles, ALL_KINDS};
 use dyc_stage::{SitePolicy, StagedProgram};
 use dyc_vm::{CodeFunc, FuncId, Module, VmError};
 use std::collections::HashMap;
@@ -374,16 +374,24 @@ impl FlightMap {
 }
 
 /// Atomic global meters (per-thread meters live in each
-/// [`ThreadRuntime`]'s [`RtStats`](crate::RtStats)): one per [`Meter`] the
-/// dispatch core counts, indexed by the meter, plus the ones only the
-/// shared runtime counts.
+/// [`ThreadRuntime`]'s [`RtStats`](crate::RtStats)): one per
+/// [`EventKind`], indexed by the kind, plus the two facts that are not
+/// events.
 #[derive(Debug, Default)]
 struct ConcStats {
-    meters: [AtomicU64; Meter::COUNT],
-    cache_invalidations: AtomicU64,
+    kinds: [AtomicU64; ALL_KINDS.len()],
     generic_continuations: AtomicU64,
-    cache_warm_loads: AtomicU64,
     cache_warm_rejects: AtomicU64,
+}
+
+impl ConcStats {
+    fn bump(&self, kind: EventKind) {
+        self.kinds[kind as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn get(&self, kind: EventKind) -> u64 {
+        self.kinds[kind as usize].load(Ordering::Relaxed)
+    }
 }
 
 /// Plain snapshot of the shared runtime's meters.
@@ -622,13 +630,8 @@ impl SharedRuntime {
             local_ids: Vec::new(),
             site_cache: Vec::new(),
         };
-        let mut core = DispatchCore::with_backend(backend, tid);
-        core.miss_hist = shared
-            .opts
-            .latency
-            .then(|| Box::new(LatencyHistogram::new()));
-        core.live = shared.live_handles().map(|h| Box::new(h.thread(tid)));
-        core
+        let live = shared.live_handles();
+        DispatchCore::with_backend(backend, tid, live.as_ref(), shared.opts.latency)
     }
 
     /// A fresh copy of the statically compiled base module for a thread
@@ -696,9 +699,7 @@ impl SharedRuntime {
     /// specialization's binding appear after the purge — that binding is
     /// freshly generated code, not stale code.
     pub fn invalidate_site(&self, point: u32) {
-        self.stats
-            .cache_invalidations
-            .fetch_add(1, Ordering::Relaxed);
+        self.stats.bump(EventKind::CacheInvalidate);
         self.cache.purge_prefix(u64::from(point));
         let entry = self.sites.read().unwrap().get(point as usize).cloned();
         if let Some(ev) = entry.as_ref().and_then(|e| e.evict.as_ref()) {
@@ -783,7 +784,7 @@ impl SharedRuntime {
                 eng.seed_promoted(full_key.clone());
             }
             self.cache.insert(full_key, CacheVal { gid, clock_idx });
-            self.stats.cache_warm_loads.fetch_add(1, Ordering::Relaxed);
+            self.stats.bump(EventKind::CacheWarmLoad);
         }
     }
 
@@ -791,22 +792,21 @@ impl SharedRuntime {
     pub fn stats(&self) -> ConcSnapshot {
         let s = &self.stats;
         let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let m = |m: Meter| get(&s.meters[m as usize]);
         ConcSnapshot {
-            specializations: m(Meter::Published),
-            single_flight_waits: m(Meter::FlightWait),
-            single_flight_fallbacks: m(Meter::FlightFallback),
-            single_flight_races: m(Meter::FlightRace),
-            cache_evictions: m(Meter::Eviction),
-            cache_invalidations: get(&s.cache_invalidations),
+            specializations: s.get(EventKind::GeExecEnd),
+            single_flight_waits: s.get(EventKind::FlightWait),
+            single_flight_fallbacks: s.get(EventKind::FlightFallback),
+            single_flight_races: s.get(EventKind::FlightRace),
+            cache_evictions: s.get(EventKind::CacheEvict),
+            cache_invalidations: s.get(EventKind::CacheInvalidate),
             generic_continuations: get(&s.generic_continuations),
-            cache_warm_loads: get(&s.cache_warm_loads),
+            cache_warm_loads: s.get(EventKind::CacheWarmLoad),
             cache_warm_rejects: get(&s.cache_warm_rejects),
-            native_installs: m(Meter::NativeInstall),
-            native_fallbacks: m(Meter::NativeFallback),
-            policy_defers: m(Meter::PolicyDefer),
-            policy_promotes: m(Meter::PolicyPromote),
-            policy_throttled: m(Meter::PolicyThrottle),
+            native_installs: s.get(EventKind::NativeInstall),
+            native_fallbacks: s.get(EventKind::NativeFallback),
+            policy_defers: s.get(EventKind::PolicyDefer),
+            policy_promotes: s.get(EventKind::PolicyPromote),
+            policy_throttled: s.get(EventKind::PolicyThrottle),
             published: self.published() as u64,
             shards: self.cache.meters(),
         }
@@ -1013,8 +1013,8 @@ impl CacheBackend for SharedCache {
         f(&shared.staged, &mut SharedSiteHost { shared })
     }
 
-    fn count(&self, m: Meter) {
-        self.shared.stats.meters[m as usize].fetch_add(1, Ordering::Relaxed);
+    fn count(&self, kind: EventKind) {
+        self.shared.stats.bump(kind);
     }
 
     fn invalidate(&mut self, point: u32) {
@@ -1033,6 +1033,18 @@ impl ThreadRuntime {
     /// The shared runtime this handler dispatches against.
     pub fn shared(&self) -> &Arc<SharedRuntime> {
         &self.backend.shared
+    }
+
+    /// This thread's miss-path latency histogram, when
+    /// `SharedOptions::latency` was set: one sample per dispatch miss,
+    /// wall nanoseconds from miss detection to runnable code. Merge the
+    /// per-thread histograms ([`LatencyHistogram::merge`]) for whole-run
+    /// percentiles.
+    #[inline]
+    pub fn miss_latency(&self) -> Option<&LatencyHistogram> {
+        self.miss_hist
+            .as_deref()
+            .filter(|_| self.backend.shared.opts.latency)
     }
 }
 
@@ -1343,28 +1355,49 @@ mod tests {
         // ConcSnapshot without updating the other (and `stats()`) trips
         // one of these, which forces the round-trip list below — and
         // therefore the snapshot plumbing — to stay complete.
-        assert_eq!(std::mem::size_of::<ConcStats>(), 14 * 8);
+        assert_eq!(std::mem::size_of::<ConcStats>(), (ALL_KINDS.len() + 2) * 8);
         assert_eq!(
             std::mem::size_of::<ConcSnapshot>(),
             std::mem::size_of::<Vec<ShardMeter>>() + 15 * 8
         );
+        use crate::dispatch::shared_kind;
+        use EventKind as K;
+        // The kind slots `stats()` exposes: the core's shared kinds plus
+        // the two the shared runtime meters itself.
+        let exposed = [
+            K::GeExecEnd,
+            K::FlightWait,
+            K::FlightFallback,
+            K::FlightRace,
+            K::CacheEvict,
+            K::CacheInvalidate,
+            K::CacheWarmLoad,
+            K::NativeInstall,
+            K::NativeFallback,
+            K::PolicyDefer,
+            K::PolicyPromote,
+            K::PolicyThrottle,
+        ];
+        for k in ALL_KINDS.into_iter().filter(|&k| shared_kind(k)) {
+            assert!(exposed.contains(&k), "{k:?} is metered but never exposed");
+        }
         let shared = SharedRuntime::new(staged(POWER));
-        let meter = |m: Meter| &shared.stats.meters[m as usize];
+        let kind = |k: EventKind| &shared.stats.kinds[k as usize];
         let fields: [&AtomicU64; 14] = [
-            meter(Meter::Published),
-            meter(Meter::FlightWait),
-            meter(Meter::FlightFallback),
-            meter(Meter::FlightRace),
-            meter(Meter::Eviction),
-            &shared.stats.cache_invalidations,
+            kind(K::GeExecEnd),
+            kind(K::FlightWait),
+            kind(K::FlightFallback),
+            kind(K::FlightRace),
+            kind(K::CacheEvict),
+            kind(K::CacheInvalidate),
             &shared.stats.generic_continuations,
-            &shared.stats.cache_warm_loads,
+            kind(K::CacheWarmLoad),
             &shared.stats.cache_warm_rejects,
-            meter(Meter::NativeInstall),
-            meter(Meter::NativeFallback),
-            meter(Meter::PolicyDefer),
-            meter(Meter::PolicyPromote),
-            meter(Meter::PolicyThrottle),
+            kind(K::NativeInstall),
+            kind(K::NativeFallback),
+            kind(K::PolicyDefer),
+            kind(K::PolicyPromote),
+            kind(K::PolicyThrottle),
         ];
         for (i, f) in fields.iter().enumerate() {
             f.store(i as u64 + 1, Ordering::Relaxed);
@@ -1390,6 +1423,46 @@ mod tests {
             assert_eq!(*v, i as u64 + 1, "meter {i} dropped by stats()");
         }
         assert_eq!(s.published, 0);
+
+        // A threaded run with every observer on bumps no other slot.
+        let mut cfg = OptConfig::all();
+        cfg.trace = true;
+        let shared = Arc::new(SharedRuntime::new(staged_with(POWER, cfg)));
+        shared.attach_live(LiveHandles::with_flight(256));
+        std::thread::scope(|sc| {
+            for _ in 0..2 {
+                let shared = &shared;
+                sc.spawn(move || {
+                    let mut t = SharedRuntime::thread(shared);
+                    let mut module = shared.base_module();
+                    let mut vm = Vm::new(CostModel::alpha21164());
+                    let id = module.func_by_name("pow").unwrap();
+                    for round in 0..3 {
+                        for e in 0..6 {
+                            vm.call_with_handler(
+                                &mut module,
+                                &mut t,
+                                id,
+                                &[Value::I(2), Value::I(e)],
+                            )
+                            .unwrap();
+                        }
+                        if round == 1 {
+                            t.invalidate_site(0);
+                        }
+                    }
+                    assert!(t.trace_events().iter().any(|e| e.kind.is_hit()));
+                });
+            }
+        });
+        assert!(shared.stats().specializations > 0);
+        for k in ALL_KINDS.into_iter().filter(|k| !exposed.contains(k)) {
+            assert_eq!(
+                shared.stats.get(k),
+                0,
+                "{k:?} bumped a slot stats() never reads"
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! (through the staged [`GeExecutor`] or the online `Specializer`),
 //! install, native install and the native fast path.
 //!
+//! Every fact the core observes — a hit, a miss, a wait, a published
+//! specialization, an eviction, a policy decision — goes through one
+//! call, `DispatchCore::note` (or `note_hashed`, given a known key
+//! hash), which bumps the matching [`RtStats`] field, the backend's
+//! shared meter and the live counter, and records the event in the
+//! thread's one [`EventRing`] (its trace and its flight-recorder tail).
+//!
 //! Where the cache lives is a [`CacheBackend`], a static trait with two
 //! implementations, each instantiated once:
 //!
@@ -29,9 +36,13 @@ use crate::policy::{PolicyDecision, PolicyEngine};
 use crate::runtime::Site;
 use crate::specializer::Specializer;
 use crate::stats::RtStats;
-use dyc_obs::{now_ns, EventKind, LatencyHistogram, LiveMetric, LiveThread, Trace};
+use dyc_obs::{
+    now_ns, Event, EventKind, EventRing, FlightRecorder, LatencyHistogram, LiveHandles, LiveMetric,
+    LiveThread, DEFAULT_CAPACITY,
+};
 use dyc_stage::{SitePolicy, StagedProgram};
 use dyc_vm::{DispatchHandler, DispatchOutcome, FuncId, Module, Value, Vm, VmError};
+use std::sync::Arc;
 
 /// How a dispatch looks its key up — chosen by the core from the site's
 /// policy and, for indexed sites, the key's range. The lane fixes the
@@ -74,38 +85,6 @@ pub enum Claim<C, T> {
     /// Another thread was specializing the key; run the generic
     /// continuation instead of waiting.
     Fallback,
-}
-
-/// A counted occurrence. The dispatch core bumps the matching
-/// [`RtStats`] field, the backend's shared meter and the live counter
-/// together, so the three never drift apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Meter {
-    /// A winner published its specialization.
-    Published,
-    /// A bounded site evicted an entry.
-    Eviction,
-    /// A function got a native machine-code entry.
-    NativeInstall,
-    /// A function stayed on the VM despite the native option.
-    NativeFallback,
-    /// The adaptive policy deferred a miss.
-    PolicyDefer,
-    /// The adaptive policy promoted a key.
-    PolicyPromote,
-    /// The adaptive policy throttled a miss.
-    PolicyThrottle,
-    /// A racer waited on another thread's flight.
-    FlightWait,
-    /// A racer ran the generic continuation instead of waiting.
-    FlightFallback,
-    /// A miss found its key published when it claimed it.
-    FlightRace,
-}
-
-impl Meter {
-    /// The number of meters (`FlightRace` is the last).
-    pub const COUNT: usize = Meter::FlightRace as usize + 1;
 }
 
 /// Where a [`DispatchCore`] keeps its sites and cached code.
@@ -162,10 +141,33 @@ pub trait CacheBackend {
     /// Run `f` with the staged program and the host that registers new
     /// internal promotion sites.
     fn with_spec<R>(&mut self, f: impl FnOnce(&StagedProgram, &mut dyn SpecHost) -> R) -> R;
-    /// Bump the backend's own meter for `m`, if it keeps one.
-    fn count(&self, _m: Meter) {}
+    /// Bump the backend's own meter for `kind` (a `shared_kind`), if it
+    /// keeps one.
+    fn count(&self, _kind: EventKind) {}
     /// Drop every specialization cached at `point`.
     fn invalidate(&mut self, point: u32);
+}
+
+/// True for the kinds [`DispatchCore::note_hashed`] forwards to
+/// [`CacheBackend::count`]: the facts a shared backend meters across
+/// threads. Invalidations and warm loads are not here: the shared
+/// runtime meters those itself, since they also happen outside any
+/// thread's dispatch.
+pub(crate) const fn shared_kind(kind: EventKind) -> bool {
+    use EventKind as K;
+    matches!(
+        kind,
+        K::FlightWait
+            | K::FlightFallback
+            | K::FlightRace
+            | K::GeExecEnd
+            | K::CacheEvict
+            | K::NativeInstall
+            | K::NativeFallback
+            | K::PolicyDefer
+            | K::PolicyPromote
+            | K::PolicyThrottle
+    )
 }
 
 /// A miss resolved to runnable code.
@@ -188,10 +190,6 @@ pub struct DispatchCore<B> {
     /// session these are this thread's meters; the global ones live in
     /// [`crate::SharedRuntime::stats`].
     pub stats: RtStats,
-    /// Event recorder, enabled by `OptConfig::trace` (off by default).
-    /// Purely observational: recording never touches [`RtStats`], the
-    /// emitted code, or results. Drain it with [`Trace::events`].
-    pub trace: Trace,
     /// Specialization instruction budget, per specialization (guards
     /// non-terminating static loops).
     pub spec_budget: u64,
@@ -204,35 +202,63 @@ pub struct DispatchCore<B> {
     /// Reusable cache-key buffer: hashed dispatches build their key here
     /// instead of allocating per call.
     scratch_key: Vec<u64>,
-    /// Miss-path latency histogram (`SharedOptions::latency`): one sample
-    /// per miss, wall nanoseconds from miss detection to runnable code.
-    /// Boxed so the cold miss path doesn't bloat what the hit path walks.
-    pub(crate) miss_hist: Option<Box<LatencyHistogram>>,
+    /// This thread's event ring, when it is traced (`OptConfig::trace`) or
+    /// its flight recorder is armed; registered with the recorder in the
+    /// latter case. Purely observational: recording never touches
+    /// [`RtStats`], the emitted code, or results.
+    ring: Option<Arc<EventRing>>,
+    /// `OptConfig::trace`: the ring also records hits and is read back as
+    /// the session's trace.
+    trace: bool,
+    /// Miss-path latency histogram: one sample per miss, wall nanoseconds
+    /// from miss detection to runnable code. The live slot's histogram
+    /// when telemetry is attached, else its own under
+    /// `SharedOptions::latency`.
+    pub(crate) miss_hist: Option<Arc<LatencyHistogram>>,
     /// Live-telemetry handle (`SharedRuntime::attach_live`). The warm path
     /// pays one `None` branch when telemetry is off and two relaxed
     /// atomic adds when on.
-    pub(crate) live: Option<Box<LiveThread>>,
+    live: Option<Box<LiveThread>>,
 }
 
 impl<B: CacheBackend> DispatchCore<B> {
-    /// A core over `backend`, tracing as trace thread `thread` when the
-    /// staged config asks for it.
-    pub(crate) fn with_backend(backend: B, thread: u32) -> DispatchCore<B> {
+    /// A core over `backend` for event thread `thread`, fed into `live`
+    /// when telemetry is attached, timing its misses when `latency` asks
+    /// for it. A traced thread's ring has [`DEFAULT_CAPACITY`], an
+    /// untraced one's the flight recorder's capacity.
+    pub(crate) fn with_backend(
+        backend: B,
+        thread: u32,
+        live: Option<&LiveHandles>,
+        latency: bool,
+    ) -> DispatchCore<B> {
         let cfg = backend.staged().cfg;
+        let flight = live.and_then(|h| h.flight.as_deref());
+        let cap = if cfg.trace {
+            Some(DEFAULT_CAPACITY)
+        } else {
+            flight.map(FlightRecorder::capacity)
+        };
+        let ring = cap.map(|c| Arc::new(EventRing::new(c, thread)));
+        if let (Some(f), Some(r)) = (flight, &ring) {
+            f.register(Arc::clone(r));
+        }
+        let live = live.map(|h| Box::new(h.thread()));
+        let miss_hist = match &live {
+            Some(l) => Some(Arc::clone(&l.slot.miss_ns)),
+            None => latency.then(|| Arc::new(LatencyHistogram::new())),
+        };
         DispatchCore {
             costs: DynCosts::calibrated(),
             stats: RtStats::new(),
-            trace: if cfg.trace {
-                Trace::on(thread)
-            } else {
-                Trace::off()
-            },
             spec_budget: 4_000_000,
             native_on: cfg.native,
             native: NativeEngine::new(),
             scratch_key: Vec::new(),
-            miss_hist: None,
-            live: None,
+            ring,
+            trace: cfg.trace,
+            miss_hist,
+            live,
             backend,
         }
     }
@@ -262,13 +288,19 @@ impl<B: CacheBackend> DispatchCore<B> {
         self.native.installed()
     }
 
-    /// This session's miss-path latency histogram, when
-    /// `SharedOptions::latency` was set: one sample per dispatch miss,
-    /// wall nanoseconds from miss detection to runnable code. Merge the
-    /// per-thread histograms ([`LatencyHistogram::merge`]) for whole-run
-    /// percentiles.
-    pub fn miss_latency(&self) -> Option<&LatencyHistogram> {
-        self.miss_hist.as_deref()
+    /// The trace recorded so far, oldest first: this thread's ring when
+    /// `OptConfig::trace` is on, else empty.
+    pub fn trace_events(&self) -> Vec<Event> {
+        self.trace_ring().map(EventRing::events).unwrap_or_default()
+    }
+
+    /// Events the trace lost to overwriting (0 when tracing is off).
+    pub fn trace_dropped(&self) -> u64 {
+        self.trace_ring().map_or(0, EventRing::dropped)
+    }
+
+    fn trace_ring(&self) -> Option<&EventRing> {
+        self.ring.as_deref().filter(|_| self.trace)
     }
 
     /// Drop every specialization cached at `point`. The next dispatch
@@ -276,59 +308,106 @@ impl<B: CacheBackend> DispatchCore<B> {
     /// installed stays where it is but is never re-entered through this
     /// site, and cumulative probe meters survive.
     pub fn invalidate_site(&mut self, point: u32) {
-        self.stats.cache_invalidations += 1;
-        self.trace
-            .rec(EventKind::CacheInvalidate, point, 0, 0, 0, 0);
+        self.note_hashed(EventKind::CacheInvalidate, point, 0, 0, 0, 0);
         self.backend.invalidate(point);
     }
 
-    /// Count `m` in [`RtStats`], the backend's meter and live telemetry.
-    pub(crate) fn count(&mut self, m: Meter) {
+    /// Note one keyed event: [`DispatchCore::note_hashed`] with the hash
+    /// of `key`, computed only when a ring records `kind`.
+    #[inline(always)]
+    pub(crate) fn note(
+        &mut self,
+        kind: EventKind,
+        point: u32,
+        key: &[u64],
+        cycle: u64,
+        a: u64,
+        b: u64,
+    ) {
+        let kh = match self.recording(kind) {
+            Some(_) => dyc_obs::key_hash(key),
+            None => 0,
+        };
+        self.note_hashed(kind, point, kh, cycle, a, b);
+    }
+
+    /// Note one event whose key hash is already known (0 for the keyless
+    /// kinds): bump the [`RtStats`] field, the backend's shared meter and
+    /// the live counters `kind` maps to, and record the event in this
+    /// thread's ring. The one place the core writes a counted fact. Hit
+    /// kinds touch no shared meter, and the ring records them only when
+    /// tracing. Always inlined: each caller's kind is a constant or one
+    /// of a few (the hit arm's three hit kinds), so the match folds to
+    /// those kinds' counters — with live telemetry attached, a hit is two
+    /// relaxed adds to this thread's slot.
+    #[inline(always)]
+    pub(crate) fn note_hashed(
+        &mut self,
+        kind: EventKind,
+        point: u32,
+        key_hash: u64,
+        cycle: u64,
+        a: u64,
+        b: u64,
+    ) {
+        use EventKind as K;
         use LiveMetric as L;
         let s = &mut self.stats;
-        let (field, live) = match m {
-            Meter::Published => (None, Some(L::Specializations)),
-            Meter::Eviction => (Some(&mut s.cache_evictions), Some(L::Evictions)),
-            Meter::NativeInstall => (Some(&mut s.native_installs), None),
-            Meter::NativeFallback => (Some(&mut s.native_fallbacks), None),
-            Meter::PolicyDefer => (Some(&mut s.policy_defers), Some(L::PolicyDefers)),
-            Meter::PolicyPromote => (Some(&mut s.policy_promotes), Some(L::PolicyPromotes)),
-            Meter::PolicyThrottle => (Some(&mut s.policy_throttled), Some(L::PolicyThrottles)),
-            Meter::FlightWait => (Some(&mut s.single_flight_waits), Some(L::FlightWaits)),
-            Meter::FlightFallback => (
-                Some(&mut s.single_flight_fallbacks),
-                Some(L::FlightFallbacks),
-            ),
-            Meter::FlightRace => (None, Some(L::FlightRaces)),
+        // (RtStats field, live counters); `shared_kind` says which kinds
+        // the backend meters.
+        let (field, live): (Option<&mut u64>, &[LiveMetric]) = match kind {
+            K::DispatchHit | K::DispatchUnchecked | K::DispatchIndexed => {
+                (None, &[L::Dispatches, L::Hits])
+            }
+            K::DispatchMiss => (None, &[L::Dispatches, L::Misses]),
+            K::FlightWait => (Some(&mut s.single_flight_waits), &[L::FlightWaits]),
+            K::FlightFallback => (Some(&mut s.single_flight_fallbacks), &[L::FlightFallbacks]),
+            K::FlightRace => (None, &[L::FlightRaces]),
+            K::GeExecBegin => (Some(&mut s.specializations), &[]),
+            K::GeExecEnd => (None, &[L::Specializations]),
+            // Counted by the emitter and the specializers, recorded
+            // through `SpecEnv::record`.
+            K::TemplateCopy | K::HolePatch | K::Promotion => (None, &[]),
+            K::CacheEvict => (Some(&mut s.cache_evictions), &[L::Evictions]),
+            K::CacheInvalidate => (Some(&mut s.cache_invalidations), &[]),
+            K::CacheWarmLoad => (Some(&mut s.cache_warm_loads), &[]),
+            K::NativeInstall => (Some(&mut s.native_installs), &[]),
+            K::NativeFallback => (Some(&mut s.native_fallbacks), &[]),
+            K::PolicyDefer => (Some(&mut s.policy_defers), &[L::PolicyDefers]),
+            K::PolicyPromote => (Some(&mut s.policy_promotes), &[L::PolicyPromotes]),
+            K::PolicyThrottle => (Some(&mut s.policy_throttled), &[L::PolicyThrottles]),
         };
         if let Some(f) = field {
             *f += 1;
         }
-        self.backend.count(m);
-        if let (Some(l), Some(lm)) = (&self.live, live) {
-            l.slot.add(lm, 1);
+        if shared_kind(kind) {
+            self.backend.count(kind);
+        }
+        if let Some(l) = &self.live {
+            for &m in live {
+                l.slot.add(m, 1);
+            }
+            if kind == K::GeExecEnd {
+                // Per-site specialization economics for the sampler's
+                // break-even-drift window.
+                l.registry.note_spec(point, a);
+            }
+        }
+        if let Some(r) = self.recording(kind) {
+            r.record(kind, point, key_hash, cycle, a, b);
         }
     }
 
-    /// True when an event would be recorded anywhere.
+    /// The ring that records `kind`, if any.
+    fn recording(&self, kind: EventKind) -> Option<&EventRing> {
+        self.ring
+            .as_deref()
+            .filter(|_| self.trace || !kind.is_hit())
+    }
+
+    /// True when anything observes this thread: a ring or live telemetry.
     fn observed(&self) -> bool {
-        self.trace.is_on() || self.live.as_ref().is_some_and(|l| l.ring.is_some())
-    }
-
-    /// Record an event in the trace and the live flight ring, tagged with
-    /// the hash of `key` (computed only when something records).
-    fn event(&mut self, kind: EventKind, point: u32, key: &[u64], cycle: u64, a: u64, b: u64) {
-        if self.observed() {
-            self.record(kind, point, dyc_obs::key_hash(key), cycle, a, b);
-        }
-    }
-
-    /// [`DispatchCore::event`] with the key hash already computed.
-    fn record(&mut self, kind: EventKind, point: u32, kh: u64, cycle: u64, a: u64, b: u64) {
-        self.trace.rec(kind, point, kh, cycle, a, b);
-        if let Some(ring) = self.live.as_ref().and_then(|l| l.ring.as_ref()) {
-            ring.record(kind, point, kh, cycle, a, b);
-        }
+        self.ring.is_some() || self.live.is_some()
     }
 
     pub(crate) fn charge(&mut self, vm: &mut Vm, cycles: u64) {
@@ -342,14 +421,8 @@ impl<B: CacheBackend> DispatchCore<B> {
     /// inert platform backend counts as a fallback to the VM.
     fn native_install(&mut self, point: u32, func: FuncId, art: Option<NativeArtifact>) {
         match self.native.install(func, art) {
-            Some(len) => {
-                self.count(Meter::NativeInstall);
-                self.record(EventKind::NativeInstall, point, 0, 0, len as u64, 0);
-            }
-            None => {
-                self.count(Meter::NativeFallback);
-                self.record(EventKind::NativeFallback, point, 0, 0, 0, 0);
-            }
+            Some(len) => self.note_hashed(EventKind::NativeInstall, point, 0, 0, len as u64, 0),
+            None => self.note_hashed(EventKind::NativeFallback, point, 0, 0, 0, 0),
         }
     }
 
@@ -405,17 +478,14 @@ impl<B: CacheBackend> DispatchCore<B> {
         let entry_site = (point as usize) < self.backend.staged().entry_sites.len();
         let decision = eng.on_miss(&pkey, entry_site);
         let count = u64::from(eng.count_of(&pkey));
-        let (meter, kind) = match decision {
+        let kind = match decision {
             PolicyDecision::Specialize { promoted: false } => return None,
-            PolicyDecision::Specialize { promoted: true } => {
-                (Meter::PolicyPromote, EventKind::PolicyPromote)
-            }
-            PolicyDecision::Defer => (Meter::PolicyDefer, EventKind::PolicyDefer),
-            PolicyDecision::Throttle => (Meter::PolicyThrottle, EventKind::PolicyThrottle),
+            PolicyDecision::Specialize { promoted: true } => EventKind::PolicyPromote,
+            PolicyDecision::Defer => EventKind::PolicyDefer,
+            PolicyDecision::Throttle => EventKind::PolicyThrottle,
         };
-        self.count(meter);
-        self.event(kind, point, key, vm.stats.total_cycles(), count, 0);
-        (meter != Meter::PolicyPromote).then(|| self.generic(point, module))
+        self.note(kind, point, key, vm.stats.total_cycles(), count, 0);
+        (kind != EventKind::PolicyPromote).then(|| self.generic(point, module))
     }
 
     /// Specialize site `point` for the key values in `args`: through the
@@ -434,24 +504,19 @@ impl<B: CacheBackend> DispatchCore<B> {
         for (v, &p) in site.key_vars.iter().zip(&site.key_pos) {
             store.insert(*v, args[p]);
         }
-        self.stats.specializations += 1;
-        let kh = if self.observed() {
+        // Every event of the specialization is tagged with the hash of
+        // its key values in `key_pos` order — the dispatch key's order.
+        let kh = if self.ring.is_some() {
             let bits: Vec<u64> = site.key_pos.iter().map(|&p| args[p].key_bits()).collect();
             dyc_obs::key_hash(&bits)
         } else {
             0
         };
+        let cycle = vm.stats.total_cycles();
+        self.note_hashed(EventKind::GeExecBegin, point, kh, cycle, 0, 0);
         let (dyn0, instr0) = (self.stats.dyncomp_cycles, self.stats.instrs_generated);
-        self.record(
-            EventKind::GeExecBegin,
-            point,
-            kh,
-            vm.stats.total_cycles(),
-            0,
-            0,
-        );
         let (costs, budget) = (self.costs, self.spec_budget);
-        let (stats, trace) = (&mut self.stats, &mut self.trace);
+        let (stats, trace) = (&mut self.stats, self.ring.as_deref());
         let (func, native_art) = self.backend.with_spec(|staged, host| {
             let mut env = SpecEnv {
                 staged,
@@ -459,6 +524,7 @@ impl<B: CacheBackend> DispatchCore<B> {
                 budget,
                 stats,
                 trace,
+                key_hash: kh,
             };
             match site.division {
                 Some(d) => GeExecutor::run(&mut env, host, point, &site, store, d, module, vm),
@@ -481,19 +547,8 @@ impl<B: CacheBackend> DispatchCore<B> {
         }
         let spent = self.stats.dyncomp_cycles - dyn0;
         let emitted = self.stats.instrs_generated - instr0;
-        self.record(
-            EventKind::GeExecEnd,
-            point,
-            kh,
-            vm.stats.total_cycles(),
-            spent,
-            emitted,
-        );
-        if let Some(l) = &self.live {
-            // Per-site specialization economics for the sampler's
-            // break-even-drift window.
-            l.registry.note_spec(point, spent);
-        }
+        let cycle = vm.stats.total_cycles();
+        self.note_hashed(EventKind::GeExecEnd, point, kh, cycle, spent, emitted);
         if let Some(eng) = self.backend.policy() {
             // Feed the measured cost into the site's break-even
             // threshold estimate.
@@ -518,23 +573,15 @@ impl<B: CacheBackend> DispatchCore<B> {
         if let Some(g) = self.policy_gate(point, key, module, vm) {
             return Ok(Resolved::Generic(g));
         }
-        let timed = self.trace.is_on() || self.live.is_some();
+        let timed = self.observed();
+        let cycle = |vm: &Vm| vm.stats.total_cycles();
         let fid = match self.backend.claim(point, slot, timed) {
             Claim::Winner(ticket) => match self.specialize(point, args, module, vm) {
                 Ok(fid) => {
                     let evicted = self.backend.publish(point, lane, key, ticket, fid, module);
                     if let Some((old, idx)) = evicted {
-                        self.count(Meter::Eviction);
-                        self.event(
-                            EventKind::CacheEvict,
-                            point,
-                            &old,
-                            vm.stats.total_cycles(),
-                            u64::from(idx),
-                            0,
-                        );
+                        self.note(EventKind::CacheEvict, point, &old, cycle(vm), idx.into(), 0);
                     }
-                    self.count(Meter::Published);
                     fid
                 }
                 Err(e) => {
@@ -543,32 +590,16 @@ impl<B: CacheBackend> DispatchCore<B> {
                 }
             },
             Claim::Raced(code) => {
-                self.count(Meter::FlightRace);
+                self.note(EventKind::FlightRace, point, key, cycle(vm), 0, 0);
                 self.resolve(point, code, module, vm)
             }
             Claim::Waited(res, waited) => {
-                self.count(Meter::FlightWait);
-                self.event(
-                    EventKind::FlightWait,
-                    point,
-                    key,
-                    vm.stats.total_cycles(),
-                    waited,
-                    0,
-                );
+                self.note(EventKind::FlightWait, point, key, cycle(vm), waited, 0);
                 let code = res.map_err(VmError::Dispatch)?;
                 self.resolve(point, code, module, vm)
             }
             Claim::Fallback => {
-                self.count(Meter::FlightFallback);
-                self.event(
-                    EventKind::FlightFallback,
-                    point,
-                    key,
-                    vm.stats.total_cycles(),
-                    0,
-                    0,
-                );
+                self.note(EventKind::FlightFallback, point, key, cycle(vm), 0, 0);
                 return Ok(Resolved::Generic(self.generic(point, module)));
             }
         };
@@ -663,22 +694,16 @@ where
 
         let func = match probe {
             Probe::Hit(code) => {
-                if let Some(l) = &self.live {
-                    l.slot.add(LiveMetric::Dispatches, 1);
-                    l.slot.add(LiveMetric::Hits, 1);
-                }
                 if let Some(eng) = self.backend.policy() {
                     eng.note_hit(point);
                 }
-                if self.trace.is_on() {
+                if self.observed() {
                     let kind = match lane {
                         Lane::Unchecked => EventKind::DispatchUnchecked,
                         Lane::Indexed(_) => EventKind::DispatchIndexed,
                         Lane::Overflow | Lane::Hashed => EventKind::DispatchHit,
                     };
-                    let total = vm.stats.total_cycles();
-                    self.trace
-                        .rec(kind, point, dyc_obs::key_hash(k), total, cost, ev_probes);
+                    self.note(kind, point, k, vm.stats.total_cycles(), cost, ev_probes);
                 }
                 self.resolve(point, code, module, vm)
             }
@@ -688,31 +713,15 @@ where
                     // The key the fill stores.
                     self.stats.dispatch_allocs += 1;
                 }
-                if let Some(l) = &self.live {
-                    l.slot.add(LiveMetric::Dispatches, 1);
-                    l.slot.add(LiveMetric::Misses, 1);
-                }
-                self.event(
-                    EventKind::DispatchMiss,
-                    point,
-                    k,
-                    vm.stats.total_cycles(),
-                    cost,
-                    ev_probes,
-                );
+                let cycle = vm.stats.total_cycles();
+                self.note(EventKind::DispatchMiss, point, k, cycle, cost, ev_probes);
                 // Miss-path latency: miss detection → runnable code. Hit
                 // dispatches never reach this arm, so the warm path reads
                 // no clock.
-                let lat0 = (self.miss_hist.is_some() || self.live.is_some()).then(now_ns);
+                let lat0 = self.miss_hist.is_some().then(now_ns);
                 let missed = self.miss(point, lane, k, slot, args, module, vm);
-                if let Some(t0) = lat0 {
-                    let d = now_ns().saturating_sub(t0);
-                    if let Some(h) = self.miss_hist.as_mut() {
-                        h.record(d);
-                    }
-                    if let Some(l) = &self.live {
-                        l.slot.record_miss_ns(d);
-                    }
+                if let (Some(t0), Some(h)) = (lat0, &self.miss_hist) {
+                    h.record(now_ns().saturating_sub(t0));
                 }
                 match missed? {
                     Resolved::Spec(f) => f,

@@ -35,7 +35,7 @@ use crate::runtime::{Site, Store};
 use crate::sink::{InstallSink, NativeSink};
 use crate::stats::RtStats;
 use dyc_ir::VReg;
-use dyc_obs::{EventKind, Trace};
+use dyc_obs::{EventKind, EventRing};
 use dyc_stage::{
     ibin_special_case, AbsAlias, EdgePlan, GeDivision, GeFunc, GeOp, GeTerm, Guard, PatchOp, Slot,
     StagedProgram, Template,
@@ -71,14 +71,26 @@ pub(crate) struct SpecEnv<'a> {
     pub budget: u64,
     /// Statistics sink (thread-local in the concurrent runtime).
     pub stats: &'a mut RtStats,
-    /// Event sink (a no-op unless the owning runtime enabled tracing).
-    pub trace: &'a mut Trace,
+    /// The dispatching thread's event ring, when it has one (traced, or
+    /// with an armed flight recorder).
+    pub trace: Option<&'a EventRing>,
+    /// Hash of the key being specialized, as the dispatch core tags the
+    /// specialization's begin/end span with it.
+    pub key_hash: u64,
 }
 
 impl SpecEnv<'_> {
     pub(crate) fn charge(&mut self, vm: &mut Vm, cycles: u64) {
         self.stats.dyncomp_cycles += cycles;
         vm.stats.dyncomp_cycles += cycles;
+    }
+
+    /// Record an event inside the specialization of site `point`, tagged
+    /// with the specialization's key hash.
+    pub(crate) fn record(&self, kind: EventKind, point: u32, cycle: u64, a: u64) {
+        if let Some(r) = self.trace {
+            r.record(kind, point, self.key_hash, cycle, a, 0);
+        }
     }
 }
 
@@ -138,8 +150,6 @@ pub struct GeExecutor {
     budget: u64,
     /// The dispatch point being specialized (tags trace events).
     point: u32,
-    /// Hash of the entry store's value vector (tags trace events).
-    key_hash: u64,
     /// Division of each interned unit id (parallel to the emitter's
     /// label table).
     unit_division: Vec<u32>,
@@ -168,19 +178,12 @@ impl GeExecutor {
             .expect("site carries a division only for staged functions")
             .clone();
         let fname = env.staged.ir.funcs[site.func].name.clone();
-        let key_hash = if env.trace.is_on() {
-            let vals: Vec<u64> = store.values().map(|v| v.key_bits()).collect();
-            dyc_obs::key_hash(&vals)
-        } else {
-            0
-        };
         let mut ex = GeExecutor {
             fidx: site.func,
             em: Emitter::new(env.staged.cfg, gef.float_vreg.clone()),
             worklist: Vec::new(),
             budget: env.budget,
             point,
-            key_hash,
             unit_division: Vec::new(),
             shape: UnitShape::default(),
             gef,
@@ -215,12 +218,6 @@ impl GeExecutor {
         let (code, native) = ex.em.take_install();
         cf.code = code;
         Ok((module.add_func(cf), native))
-    }
-
-    /// Record a seal-time event tagged with this specialization's point
-    /// and key hash.
-    fn trace_rec(&self, env: &mut SpecEnv<'_>, kind: EventKind, cycle: u64, a: u64) {
-        env.trace.rec(kind, self.point, self.key_hash, cycle, a, 0);
     }
 
     /// Intern the unit `(division, store values)`, recording the id's
@@ -379,14 +376,8 @@ impl GeExecutor {
                 dyn_pos: Vec::new(),
             });
             self.em.exec_cycles += costs.new_site;
-            env.trace.rec(
-                EventKind::Promotion,
-                self.point,
-                self.key_hash,
-                vm.stats.total_cycles(),
-                u64::from(new_site),
-                0,
-            );
+            let cycle = vm.stats.total_cycles();
+            env.record(EventKind::Promotion, self.point, cycle, new_site.into());
             let args: Vec<Reg> = p.args.iter().map(|v| self.em.reg_of(*v)).collect();
             for r in &args {
                 live_regs.insert(*r);
@@ -589,9 +580,9 @@ impl GeExecutor {
         let (tmpl, holes) = self.em.seal_unit(id, buf, live_regs, &costs, env.stats);
         if tmpl > 0 {
             let cyc = vm.stats.total_cycles();
-            self.trace_rec(env, EventKind::TemplateCopy, cyc, tmpl);
+            env.record(EventKind::TemplateCopy, self.point, cyc, tmpl);
             if holes > 0 {
-                self.trace_rec(env, EventKind::HolePatch, cyc, holes);
+                env.record(EventKind::HolePatch, self.point, cyc, holes);
             }
         }
         Ok(chain)

@@ -393,6 +393,8 @@ impl Runtime {
                 generic: Vec::new(),
             },
             0,
+            None,
+            false,
         )
     }
 
@@ -490,7 +492,6 @@ impl Runtime {
                 self.stats.cache_warm_rejects += 1;
                 continue;
             };
-            self.stats.cache_warm_loads += 1;
             if let Some(eng) = &self.backend.policy {
                 // Restored entries are already-proven keys: seed the
                 // engine so they never defer (their dispatches are hits
@@ -503,12 +504,8 @@ impl Runtime {
             // Warm-started code never passed through a NativeSink; lower
             // the restored function directly.
             self.lower(art.site, fid, module);
-            if self.trace.is_on() {
-                let kh = dyc_obs::key_hash(&art.key);
-                let len = art.code.len() as u64;
-                self.trace
-                    .rec(EventKind::CacheWarmLoad, art.site, kh, 0, len, 0);
-            }
+            let len = art.code.len() as u64;
+            self.note(EventKind::CacheWarmLoad, art.site, &art.key, 0, len, 0);
         }
     }
 }

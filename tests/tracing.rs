@@ -236,3 +236,74 @@ fn warm_traced_dispatch_does_not_allocate() {
         .iter()
         .any(|e| e.kind.category() == Category::Dispatch));
 }
+
+/// Every event recorded inside a specialization — template copies, hole
+/// patches, internal promotions — carries the (site, key hash) of the
+/// `ge-exec` span it happened in, as does the span's end. `dycstat`
+/// attributes inner events to a (site, key) by these tags.
+#[test]
+fn inner_events_carry_their_span_key_on_all_workloads() {
+    let mut inner = 0;
+    for w in all() {
+        let meta = w.meta();
+        let p = Compiler::with_config(traced_config())
+            .compile(&w.source())
+            .unwrap();
+        let mut s = p.dynamic_session();
+        let args = w.setup_region(&mut s);
+        s.set_step_limit(200_000_000);
+        s.run(meta.region_func, &args).unwrap();
+
+        let mut open: Vec<(u32, u64)> = Vec::new();
+        for e in s.trace_events() {
+            match e.kind {
+                EventKind::GeExecBegin => open.push((e.site, e.key)),
+                EventKind::GeExecEnd => {
+                    let span = open.pop().expect("end without begin");
+                    assert_eq!(span, (e.site, e.key), "{}: span end", meta.name);
+                }
+                EventKind::TemplateCopy | EventKind::HolePatch | EventKind::Promotion => {
+                    inner += 1;
+                    let span = *open.last().expect("inner event outside a span");
+                    assert_eq!(
+                        span,
+                        (e.site, e.key),
+                        "{}: {} event tagged with another (site, key)",
+                        meta.name,
+                        e.kind.name()
+                    );
+                }
+                _ => {}
+            }
+        }
+        assert!(open.is_empty(), "{}: unclosed span", meta.name);
+    }
+    assert!(inner > 0, "no events inside a span");
+}
+
+/// The flight recorder captures what happens inside a specialization,
+/// not just the dispatch ladder around it: a threaded mipsi run with an
+/// armed recorder and tracing off holds promotions and template copies.
+#[test]
+fn flight_recorder_captures_events_inside_specializations() {
+    let w = dyc_workloads::by_name("mipsi").unwrap();
+    let meta = w.meta();
+    let p = Compiler::new().compile(&w.source()).unwrap();
+    let shared = p.shared_runtime();
+    let handles = dyc::obs::LiveHandles::with_flight(4096);
+    shared.attach_live(handles.clone());
+    let mut s = p.threaded_session(&shared);
+    let args = w.setup_region(&mut s);
+    s.set_step_limit(200_000_000);
+    s.run(meta.region_func, &args).unwrap();
+
+    assert!(s.trace_events().is_empty(), "tracing is off");
+    let captured = handles.flight.as_ref().unwrap().capture();
+    for kind in [EventKind::Promotion, EventKind::TemplateCopy] {
+        assert!(
+            captured.iter().any(|e| e.kind == kind),
+            "flight capture holds no {} event",
+            kind.name()
+        );
+    }
+}
